@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .core import SensorReading, canonical_order
-from .errors import EmptySnapshot, StaleReading
+from .errors import StaleReading
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,6 @@ class RoundSnapshot:
     round: int
     readings: Tuple[SensorReading, ...]
     redundancy_removed: int = 0
-
-    def original_count(self) -> int:
-        return len(self.readings) + self.redundancy_removed
 
 
 def collect_round(incoming: Sequence[SensorReading], round_no: int) -> RoundSnapshot:
@@ -66,10 +63,3 @@ def committed_values(s: RoundSnapshot) -> Dict[int, float]:
     for r in s.readings:  # canonical order: later entries win per source
         out[r.source] = r.value
     return out
-
-
-def redundancy_ratio(s: RoundSnapshot) -> float:
-    total = s.original_count()
-    if total == 0:
-        raise EmptySnapshot("redundancy ratio of an empty snapshot is undefined")
-    return s.redundancy_removed / total

@@ -5,25 +5,12 @@ import argparse
 import dataclasses
 import os
 import sys
-import tempfile
 from typing import Optional
 
 from . import engine, metrics, pipeline
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario, with_overrides
+from .core import _atomic_write
 from .errors import EmptyTrainingSet, SimError
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".iirsim-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _out_path(base: str, suffix: str, fmt: str) -> str:
@@ -34,19 +21,12 @@ def _out_path(base: str, suffix: str, fmt: str) -> str:
 
 
 def _load(args) -> ScenarioConfig:
-    sc = load_scenario(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    return dataclasses.replace(sc, **overrides) if overrides else sc
+    return with_overrides(load_scenario(args.scenario), seed=args.seed,
+                          rounds=args.rounds, mode=getattr(args, "mode", None))
 
 
 def _load_model(args) -> Optional[pipeline.ClassifierModel]:
-    if getattr(args, "model", None):
+    if args.model:
         return pipeline.load_model(args.model)
     return None
 
@@ -120,7 +100,7 @@ def cmd_train(args) -> int:
     model = pipeline.train_classifier(examples)
     accuracy = pipeline.training_accuracy(model, examples)
     out = args.out if args.out != "report" else "model.txt"
-    _atomic_write(out, "".join(f"{w!r}\n" for w in model.weights))
+    pipeline.save_model(model, out)
     if not args.quiet:
         print(f"trained on {len(examples)} examples, "
               f"training accuracy {accuracy:.4f}")
@@ -135,30 +115,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "against in-network staircase filtering.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--rounds", type=int, default=None)
-        if with_mode:
-            p.add_argument("--mode", choices=("baseline", "framework"),
-                           default=None)
         p.add_argument("--out", default="report", help="output path or stem")
+        p.add_argument("--quiet", action="store_true")
+
+    def report_and_model(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--model", default=None,
                        help="path to a trained classifier model file")
-        p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run one simulation")
     common(p_run)
+    report_and_model(p_run)
+    p_run.add_argument("--mode", choices=("baseline", "framework"),
+                       default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare",
                            help="run baseline and framework on the same seed")
-    common(p_cmp, with_mode=False)
+    common(p_cmp)
+    report_and_model(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_train = sub.add_parser("train", help="train the sentiment classifier")
-    common(p_train, with_mode=False)
+    common(p_train)
     p_train.set_defaults(func=cmd_train)
     return parser
 

@@ -1,7 +1,7 @@
 """Scenario definition: the `key = value` experiment file format and defaults."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Tuple, Union
 
 from .energy import RadioParams
@@ -61,12 +61,8 @@ class ScenarioConfig:
     batch_cap: int = 16
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(band_lo=self.band_lo, band_hi=self.band_hi,
-                              theta_p=self.theta_p, window_w=self.window_w,
-                              delta_o=self.delta_o, range_lo=self.range_lo,
-                              range_hi=self.range_hi, tau_r=self.tau_r,
-                              quorum_q=self.quorum_q,
-                              rescue_score=self.rescue_score)
+        return PipelineConfig(**{f.name: getattr(self, f.name)
+                                 for f in fields(PipelineConfig)})
 
     def radio(self) -> RadioParams:
         return RadioParams(e_elec=self.e_elec, e_amp=self.e_amp)

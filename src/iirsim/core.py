@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Tuple
@@ -58,7 +60,6 @@ class SensorReading:
 class Packet:
     src: int
     dst: int
-    payload: Tuple[SensorReading, ...]
     bits: int
 
 
@@ -74,10 +75,29 @@ def make_packet(src: int, dst: int, payload: Iterable[SensorReading]) -> Packet:
     payload = tuple(payload)
     if src == dst:
         raise ValueError("packet endpoints must differ")
-    return Packet(src=src, dst=dst, payload=payload, bits=packet_bits(len(payload)))
+    return Packet(src=src, dst=dst, bits=packet_bits(len(payload)))
 
 
 def canonical_order(readings: Sequence[SensorReading]) -> list:
     """Stable sort by (round, source, value); the determinism anchor for
     every operation that iterates over a round's readings."""
     return sorted(readings, key=lambda r: (r.round, r.source, r.value))
+
+
+def mix_seed(seed: int, salt: int) -> int:
+    """Derive the seed of a purpose-specific random stream from the scenario seed."""
+    return (seed * 0x9E3779B97F4A7C15 + salt) % (1 << 64)
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write via a temp file and os.replace: `path` is never left half written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".iirsim-")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

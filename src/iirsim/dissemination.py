@@ -4,12 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .config import ScenarioConfig
 from .core import Packet, SensorReading, make_packet
 from .energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 from .errors import NoRoute
 from .topology import Topology
-
-BATCH_CAP_DEFAULT = 16
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class TransmissionEvent:
 
 def send_along(route: Sequence[int], readings: Sequence[SensorReading],
                topology: Topology, radio: RadioParams, ledger: EnergyLedger,
-               batch_cap: int = BATCH_CAP_DEFAULT, round_no: int = 0):
+               batch_cap: int = ScenarioConfig.batch_cap, round_no: int = 0):
     """Move readings along `route` in packets of at most batch_cap.
 
     Returns (events, delivered_readings, lost_reading_count). A node death
@@ -74,25 +73,3 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
         else:
             lost += len(chunk)
     return events, delivered, lost
-
-
-def baseline_forward_all(readings_by_sensor, topology: Topology,
-                         radio: RadioParams, ledger: EnergyLedger,
-                         round_no: int = 0):
-    """Forward every sensed reading along its full route to the sink,
-    with no dedup and no filtering in between."""
-    all_events: List[TransmissionEvent] = []
-    delivered: List[SensorReading] = []
-    lost = 0
-    for source in sorted(readings_by_sensor):
-        route = topology.routes.get(source)
-        readings = readings_by_sensor[source]
-        if route is None:
-            lost += len(readings)
-            continue
-        ev, dlv, lst = send_along(route, readings, topology, radio, ledger,
-                                  batch_cap=BATCH_CAP_DEFAULT, round_no=round_no)
-        all_events.extend(ev)
-        delivered.extend(dlv)
-        lost += lst
-    return all_events, delivered, lost

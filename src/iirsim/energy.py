@@ -15,16 +15,6 @@ class RadioParams:
     e_amp: float = E_AMP_DEFAULT
 
 
-@dataclass(frozen=True)
-class EnergyState:
-    initial: float
-    remaining: float
-
-    @property
-    def alive(self) -> bool:
-        return self.remaining > 0
-
-
 def tx_cost(p: RadioParams, bits: int, distance: float) -> float:
     if distance < 0:
         raise ValueError("distance must be non-negative")
@@ -33,14 +23,6 @@ def tx_cost(p: RadioParams, bits: int, distance: float) -> float:
 
 def rx_cost(p: RadioParams, bits: int) -> float:
     return bits * p.e_elec
-
-
-def debit(state: EnergyState, amount: float) -> EnergyState:
-    """Charge a node; an overdraw completes the event and leaves it dead."""
-    if amount < 0:
-        raise ValueError("amount must be non-negative")
-    return EnergyState(initial=state.initial,
-                       remaining=max(0.0, state.remaining - amount))
 
 
 class EnergyLedger:
@@ -59,9 +41,6 @@ class EnergyLedger:
         self.death_rounds: Dict[int, int] = {}
         self.first_death_round: Optional[int] = None
 
-    def initial(self, node: int) -> float:
-        return self._initial[node]
-
     def remaining(self, node: int) -> float:
         init = self._initial[node]
         if math.isinf(init):
@@ -70,9 +49,6 @@ class EnergyLedger:
 
     def alive(self, node: int) -> bool:
         return self.remaining(node) > 0
-
-    def state(self, node: int) -> EnergyState:
-        return EnergyState(initial=self._initial[node], remaining=self.remaining(node))
 
     def finite_nodes(self) -> list:
         return sorted(n for n, e in self._initial.items() if not math.isinf(e))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import aggregation, dissemination, metrics, pipeline, topology as topo_mod
 from .config import ScenarioConfig
-from .core import SensorReading, canonical_order
+from .core import SensorReading, canonical_order, mix_seed
 from .energy import EnergyLedger
 from .metrics import MetricsReport
 from .pipeline import ClassifierModel
@@ -26,10 +26,6 @@ from .pipeline import ClassifierModel
 _SENSE_SALT = 0x5E15E
 _EVENT_SALT = 0xE4E47
 TRAIN_SEED_OFFSET = 7919  # warm-up labeling run uses seed + this
-
-
-def _mix(seed: int, salt: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + salt) % (1 << 64)
 
 
 @dataclass
@@ -119,8 +115,8 @@ class _Run:
             n.id: (math.inf if n.id == self.topo.sink
                    else scenario.initial_energy_j)
             for n in self.topo.nodes})
-        self.sense_rng = random.Random(_mix(scenario.seed, _SENSE_SALT))
-        self.event_rng = random.Random(_mix(scenario.seed, _EVENT_SALT))
+        self.sense_rng = random.Random(mix_seed(scenario.seed, _SENSE_SALT))
+        self.event_rng = random.Random(mix_seed(scenario.seed, _EVENT_SALT))
         self.gt = GroundTruth(scenario, self.topo)
         self.report = MetricsReport(mode=scenario.mode)
         self.history: pipeline.HistoryIndex = {}

@@ -18,15 +18,7 @@ class StaleReading(SimError):
     pass
 
 
-class EmptySnapshot(SimError):
-    pass
-
-
 class EmptyTrainingSet(SimError):
-    pass
-
-
-class UntrainedModel(SimError):
     pass
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
-                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading)
-from .errors import EmptyTrainingSet, UntrainedModel
+                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
+from .errors import EmptyTrainingSet
 from .topology import Topology, neighbors_in_round
 
 N_FEATURES = 5
@@ -57,12 +57,6 @@ class StageTrace:
     counts: List[Tuple[str, int, int]] = field(default_factory=list)
     drops: List[Tuple[int, int, str]] = field(default_factory=list)
     sentiment_input: Tuple[SensorReading, ...] = ()
-
-    def output_count(self, stage: str) -> int:
-        for name, _, n_out in self.counts:
-            if name == stage:
-                return n_out
-        return 0
 
 
 HistoryIndex = Dict[int, Deque[float]]
@@ -172,10 +166,7 @@ def training_accuracy(model: ClassifierModel,
 
 
 def sentiment_classify(readings: Sequence[SensorReading],
-                       model: Optional[ClassifierModel], cfg: PipelineConfig,
-                       allow_rule_only: bool = True):
-    if model is None and not allow_rule_only:
-        raise UntrainedModel("no classifier model and rule-only mode disabled")
+                       model: Optional[ClassifierModel], cfg: PipelineConfig):
     kept, dropped = [], []
     for r in readings:
         if r.annotations.priority_score >= cfg.rescue_score:
@@ -195,8 +186,7 @@ def sentiment_classify(readings: Sequence[SensorReading],
 
 def run_pipeline(snapshot, round_context: Sequence[SensorReading],
                  topology: Topology, history_index: HistoryIndex,
-                 cfg: PipelineConfig, model: Optional[ClassifierModel] = None,
-                 allow_rule_only: bool = True):
+                 cfg: PipelineConfig, model: Optional[ClassifierModel] = None):
     """Apply the four stages in order; returns (survivors, trace).
 
     Updates history_index with the values of forwarded readings only.
@@ -220,7 +210,7 @@ def run_pipeline(snapshot, round_context: Sequence[SensorReading],
     current = kept
     trace.sentiment_input = tuple(current)
 
-    kept, dropped = sentiment_classify(current, model, cfg, allow_rule_only)
+    kept, dropped = sentiment_classify(current, model, cfg)
     trace.counts.append((STAGE_SENTIMENT, len(current), len(kept)))
     trace.drops.extend((r.source, r.round, STAGE_SENTIMENT) for r in dropped)
 
@@ -234,9 +224,7 @@ def run_pipeline(snapshot, round_context: Sequence[SensorReading],
 
 
 def save_model(model: ClassifierModel, path: str) -> None:
-    with open(path, "w") as f:
-        for w in model.weights:
-            f.write(f"{w!r}\n")
+    _atomic_write(path, "".join(f"{w!r}\n" for w in model.weights))
 
 
 def load_model(path: str) -> ClassifierModel:

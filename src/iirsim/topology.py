@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from .core import NodeRole
+from .core import NodeRole, mix_seed
 from .errors import DisconnectedTopology, InvalidScenario, NoRoute
 
 if TYPE_CHECKING:
@@ -33,9 +33,6 @@ class Topology:
     aggregators: Tuple[int, ...]
     routes: Dict[int, List[int]] = field(default_factory=dict)
 
-    def node(self, n: int) -> Node:
-        return self.nodes[n]
-
     def distance(self, a: int, b: int) -> float:
         (ax, ay), (bx, by) = self.nodes[a].pos, self.nodes[b].pos
         return math.hypot(ax - bx, ay - by)
@@ -46,10 +43,6 @@ class Topology:
 
     def sensors(self) -> List[int]:
         return [n.id for n in self.nodes if n.role is NodeRole.SENSOR]
-
-
-def _mix(seed: int, salt: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + salt) % (1 << 64)
 
 
 def _positions(scenario: "ScenarioConfig", seed: int) -> List[Tuple[float, float]]:
@@ -63,7 +56,7 @@ def _positions(scenario: "ScenarioConfig", seed: int) -> List[Tuple[float, float
     if scenario.placement == "uniform":
         side = math.ceil(math.sqrt(n))
         extent = scenario.area_size if scenario.area_size > 0 else side * s
-        rng = random.Random(_mix(seed, _PLACEMENT_SALT))
+        rng = random.Random(mix_seed(seed, _PLACEMENT_SALT))
         return [(rng.uniform(0.0, extent), rng.uniform(0.0, extent)) for _ in range(n)]
     raise InvalidScenario(f"unknown placement '{scenario.placement}'")
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from iirsim.aggregation import (RoundSnapshot, collect_round, committed_values,
-                                deduplicate, redundancy_ratio)
+                                deduplicate)
 from iirsim.core import SensorReading, canonical_order
-from iirsim.errors import EmptySnapshot, StaleReading
+from iirsim.errors import StaleReading
 
 
 def reading(source, rnd, value):
@@ -118,22 +118,3 @@ class TestCommitAndRatio:
                                                 reading(0, 0, 2.0),
                                                 reading(1, 0, 9.0)))
         assert committed_values(snap) == {0: 2.0, 1: 9.0}
-
-    def test_ratio_none_removed(self):
-        snap = collect_round([reading(i, 0, float(i)) for i in range(10)], 0)
-        assert redundancy_ratio(deduplicate(snap, 0.0)) == 0.0
-
-    def test_ratio_all_removed(self):
-        snap = collect_round([reading(0, 0, 1.0)] * 10, 0)
-        out = deduplicate(snap, 0.0)
-        assert redundancy_ratio(out) == pytest.approx(0.9)
-        # all ten collapse to one: 9 removed of 10
-
-    def test_ratio_quarter(self):
-        snap = RoundSnapshot(round=0, readings=tuple(
-            reading(i, 0, float(i)) for i in range(9)), redundancy_removed=3)
-        assert redundancy_ratio(snap) == 0.25
-
-    def test_ratio_empty_rejected(self):
-        with pytest.raises(EmptySnapshot):
-            redundancy_ratio(RoundSnapshot(round=0, readings=()))

@@ -154,3 +154,11 @@ class TestTrain:
                      "--rounds", "0", "--out", str(tmp_path / "m.txt")])
         assert code == 1
         assert "EmptyTrainingSet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--model", "x"], ["--format", "json"]],
+                             ids=["model", "format"])
+    def test_run_only_options_rejected(self, scenario, tmp_path, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--scenario", scenario(SMALL_GRID),
+                  "--out", str(tmp_path / "m.txt"), *option])
+        assert exc.value.code == 2

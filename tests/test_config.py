@@ -3,6 +3,7 @@ import pytest
 from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.errors import (InvalidScenario, InvalidValue, MalformedLine,
                            UnknownKey)
+from iirsim.pipeline import PipelineConfig
 
 
 class TestParse:
@@ -73,3 +74,12 @@ class TestValidate:
     def test_quorum_bounds(self):
         with pytest.raises(InvalidScenario):
             ScenarioConfig(quorum_q=1.5).validate()
+
+
+class TestPipelineConfig:
+    def test_defaults_agree(self):
+        assert ScenarioConfig().pipeline_config() == PipelineConfig()
+
+    def test_scenario_value_reaches_pipeline(self):
+        cfg = parse_scenario("theta_p = 0.3\n").pipeline_config()
+        assert cfg == PipelineConfig(theta_p=0.3)

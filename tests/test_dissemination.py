@@ -3,10 +3,10 @@ import math
 import pytest
 
 from iirsim.core import NodeRole, SensorReading, packet_bits
-from iirsim.dissemination import baseline_forward_all, send_along
+from iirsim.dissemination import send_along
 from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 from iirsim.errors import NoRoute
-from iirsim.topology import Node, Topology, recompute_routes
+from iirsim.topology import Node, Topology
 
 RADIO = RadioParams()
 
@@ -108,31 +108,3 @@ class TestSendAlong:
             per_packet.setdefault(id(e.packet), [e.packet.bits, 0])[1] += 1
         total = sum(e.packet.bits for e in events)
         assert total == sum(bits * hops for bits, hops in per_packet.values())
-
-
-class TestBaselineForwardAll:
-    def test_no_readings(self):
-        t, ledger = line_topology(3)
-        recompute_routes(t, "baseline")
-        events, delivered, lost = baseline_forward_all({}, t, RADIO, ledger)
-        assert events == [] and delivered == [] and lost == 0
-
-    def test_one_hop_sensors_direct_count(self):
-        # star: every sensor one hop from the sink
-        n = 6
-        adjacency = {i: ({n - 1} if i < n - 1 else set(range(n - 1)))
-                     for i in range(n)}
-        nodes = [Node(i, NodeRole.SINK if i == n - 1 else NodeRole.SENSOR,
-                      (float(i), 0.0)) for i in range(n)]
-        t = Topology(nodes=nodes, comm_radius=100.0, adjacency=adjacency,
-                     alive=set(range(n)), sink=n - 1, sub_sink=None,
-                     aggregators=())
-        ledger = EnergyLedger({i: (math.inf if i == n - 1 else 1.0)
-                               for i in range(n)})
-        recompute_routes(t, "baseline")
-        by_sensor = {i: [SensorReading(source=i, round=0, value=1.0)]
-                     for i in range(n - 1)}
-        events, delivered, lost = baseline_forward_all(by_sensor, t, RADIO,
-                                                       ledger)
-        assert len(events) == n - 1
-        assert len(delivered) == n - 1 and lost == 0

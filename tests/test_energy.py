@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from iirsim.energy import (EnergyLedger, EnergyState, RadioParams, debit,
-                           rx_cost, tx_cost)
+from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 
 RADIO = RadioParams()
 
@@ -26,26 +25,6 @@ class TestCosts:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             tx_cost(RADIO, 1, -1.0)
-
-
-class TestDebit:
-    def test_identity(self):
-        s = debit(EnergyState(initial=1.0, remaining=1.0), 0.0)
-        assert s.remaining == 1.0 and s.alive
-
-    def test_exact_drain_kills(self):
-        s = debit(EnergyState(initial=1.0, remaining=1.0), 1.0)
-        assert s.remaining == 0.0 and not s.alive
-
-    def test_overdraw_clamps(self):
-        s = debit(EnergyState(initial=1.0, remaining=0.5), 0.7)
-        assert s.remaining == 0.0 and not s.alive
-
-    def test_never_negative(self):
-        s = EnergyState(initial=1.0, remaining=1.0)
-        for amount in (0.3, 0.9, 0.01, 2.0):
-            s = debit(s, amount)
-            assert 0.0 <= s.remaining <= s.initial
 
 
 class TestLedger:
@@ -77,3 +56,24 @@ class TestLedger:
         ledger = EnergyLedger({0: 0.1})
         ledger.debit(0, 1.0, round_no=0)
         assert ledger.debit(0, 1.0, round_no=1) == 0.0
+
+    def test_zero_debit_changes_nothing(self):
+        ledger = EnergyLedger({0: 1.0})
+        assert ledger.debit(0, 0.0, round_no=0) == 0.0
+        assert ledger.remaining(0) == 1.0 and ledger.alive(0)
+
+    def test_exact_drain_kills(self):
+        ledger = EnergyLedger({0: 1.0})
+        ledger.debit(0, 0.25, round_no=1)
+        applied = ledger.debit(0, 0.75, round_no=4)  # amount == remaining
+        assert applied == 0.75
+        assert ledger.remaining(0) == 0.0 and not ledger.alive(0)
+        assert ledger.death_rounds == {0: 4}
+        assert ledger.first_death_round == 4
+
+    def test_remaining_within_bounds(self):
+        ledger = EnergyLedger({0: 1.0})
+        for i, amount in enumerate((0.3, 0.01, 0.2, 2.0)):  # ends in overdraw
+            ledger.debit(0, amount, round_no=i)
+            assert 0.0 <= ledger.remaining(0) <= 1.0
+        assert not ledger.alive(0)

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 import random
 
 import pytest
 
 from iirsim import engine
-from iirsim.config import ScenarioConfig
+from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
 
@@ -161,3 +162,19 @@ class TestTrainingCollection:
             sc, seed=sc.seed + engine.TRAIN_SEED_OFFSET),
             collect_training=True).training_examples
         assert engine.collect_training_examples(sc) == direct
+
+
+# sha256 of the JSON report of the reference scenario (an empty scenario
+# file plus `rounds = 50`, seed 1). A change that alters a report on
+# purpose re-pins these and lists the old and new digests in CHANGES.md.
+REFERENCE_DIGESTS = {
+    "baseline": "8f7b9162c076eaa387300bd295eedc7683f27916be5beeb4971e12d865ca635b",
+    "framework": "a9280c5db780efabd9a737fa0cb43ab9fdeaa507950695f63837552fbc535eb1",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REFERENCE_DIGESTS))
+def test_reference_report_digest(mode):
+    sc = dataclasses.replace(parse_scenario("rounds = 50\n"), mode=mode)
+    text = serialize(engine.run(sc).report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_DIGESTS[mode]

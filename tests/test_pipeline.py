@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter, deque
 
@@ -6,7 +7,7 @@ import pytest
 from iirsim.aggregation import RoundSnapshot
 from iirsim.core import (LABEL_DISCARD, LABEL_FORWARD, STAGES, NodeRole,
                          SensorReading, StageAnnotation, canonical_order)
-from iirsim.errors import EmptyTrainingSet, UntrainedModel
+from iirsim.errors import EmptyTrainingSet
 from iirsim.pipeline import (ClassifierModel, PipelineConfig, features,
                              load_model, opinion_analysis, priority_analysis,
                              review_analysis, run_pipeline, save_model,
@@ -153,6 +154,19 @@ class TestPerceptron:
         save_model(model, path)
         assert load_model(path) == model
 
+    def test_failed_save_keeps_previous_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.txt"
+        old = ClassifierModel(weights=(1.0, 2.0, 3.0, 4.0, 5.0))
+        save_model(old, str(path))
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_model(ClassifierModel(weights=(0.0,) * 5), str(path))
+        assert load_model(str(path)) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
+
 
 class TestSentiment:
     def annotated(self, score, value=25.0):
@@ -176,11 +190,6 @@ class TestSentiment:
         model = ClassifierModel(weights=(1.0, 0.0, 0.0, 0.0, -0.05))
         kept, _ = sentiment_classify([r], model, CFG)
         assert kept  # 0.5 - 0.05 = 0.45 > 0
-
-    def test_untrained_model_rejected_when_rule_only_disabled(self):
-        with pytest.raises(UntrainedModel):
-            sentiment_classify([self.annotated(0.5)], None, CFG,
-                               allow_rule_only=False)
 
     def test_rule_only_mode(self):
         kept, dropped = sentiment_classify(
