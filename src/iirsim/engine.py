@@ -237,11 +237,16 @@ class _Run:
             self.report.readings_lost_in_transit += len(kept)
 
     def execute(self) -> RunResult:
+        # Reachability depends only on the alive set, which only shrinks.
+        alive_count, reachable = None, False
         for round_no in range(self.sc.rounds):
             if self._routes_dirty:
                 topo_mod.recompute_routes(self.topo, self.sc.mode)
                 self._routes_dirty = False
-            if not topo_mod.sink_reachable(self.topo):
+            if len(self.topo.alive) != alive_count:
+                alive_count = len(self.topo.alive)
+                reachable = topo_mod.sink_reachable(self.topo)
+            if not reachable:
                 self.report.network_death_round = round_no
                 break
             readings = self._sense_round(round_no)

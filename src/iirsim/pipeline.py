@@ -14,7 +14,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
                    STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
-from .errors import EmptyTrainingSet
+from .errors import EmptyTrainingSet, InvalidValue
 from .topology import Topology, neighbors_in_round
 
 N_FEATURES = 5
@@ -228,6 +228,17 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
+    weights = []
     with open(path) as f:
-        weights = tuple(float(line) for line in f if line.strip())
-    return ClassifierModel(weights=weights)
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                weights.append(float(line))
+            except ValueError:
+                raise InvalidValue(f"model file line {lineno}: invalid "
+                                   f"weight {line.strip()!r}") from None
+    if len(weights) != N_FEATURES:
+        raise InvalidValue(f"model file has {len(weights)} weights, "
+                           f"expected {N_FEATURES}")
+    return ClassifierModel(weights=tuple(weights))

@@ -110,6 +110,40 @@ def _assign_roles(scenario: "ScenarioConfig",
     return roles, sink, sub_sink, aggregators
 
 
+def _adjacency(positions: List[Tuple[float, float]],
+               r: float) -> Dict[int, Set[int]]:
+    """Pairs with `hypot <= r`, tested only between neighbouring cells.
+
+    Cells are `r` wide, widened by a relative 1e-9. Float division is
+    monotone and exact on every integer a quotient can reach while two
+    coordinates are within `r`, so coordinates two cells apart differ by
+    more than `w`, and their rounded difference by more than `r`.
+    Input that cannot be binned (NaN, infinity, an overflowing quotient)
+    goes into one cell, where every pair is tested.
+    """
+    w = r * (1.0 + 1e-9)
+    try:
+        keys = [(math.floor(x / w), math.floor(y / w)) for x, y in positions]
+    except (ValueError, OverflowError):
+        keys = [(0, 0)] * len(positions)
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(positions))}
+    for (cx, cy), members in cells.items():
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in cells.get((cx + dx, cy + dy), ()):
+                    xj, yj = positions[j]
+                    for i in members:
+                        if i < j:
+                            xi, yi = positions[i]
+                            if math.hypot(xi - xj, yi - yj) <= r:
+                                adjacency[i].add(j)
+                                adjacency[j].add(i)
+    return adjacency
+
+
 def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
     """Deterministic placement, role assignment, and adjacency for a scenario."""
     if scenario.node_count < 2:
@@ -124,17 +158,9 @@ def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
             raise InvalidScenario("framework mode requires at least one aggregator")
 
     nodes = [Node(i, roles[i], positions[i]) for i in range(scenario.node_count)]
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(scenario.node_count)}
     r = scenario.comm_radius
-    for i in range(scenario.node_count):
-        xi, yi = positions[i]
-        for j in range(i + 1, scenario.node_count):
-            xj, yj = positions[j]
-            if math.hypot(xi - xj, yi - yj) <= r:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-
-    topo = Topology(nodes=nodes, comm_radius=r, adjacency=adjacency,
+    topo = Topology(nodes=nodes, comm_radius=r,
+                    adjacency=_adjacency(positions, r),
                     alive=set(range(scenario.node_count)), sink=sink,
                     sub_sink=sub_sink, aggregators=aggregators)
 
@@ -167,6 +193,19 @@ def hop_distances(t: Topology, target: int) -> Dict[int, int]:
     return dist
 
 
+def _walk(t: Topology, dist: Dict[int, int], src: int) -> List[int]:
+    """Downhill walk on a BFS distance field from `src` (which must be in
+    it) to the field's target, taking the lowest-id neighbour each step."""
+    path = [src]
+    cur = src
+    d = dist[src]
+    while d:
+        d -= 1
+        cur = min(v for v in t.adjacency[cur] if dist.get(v) == d)
+        path.append(cur)
+    return path
+
+
 def shortest_hop_path(t: Topology, src: int, dst: int) -> List[int]:
     """Lexicographically-smallest minimum-hop path from src to dst.
 
@@ -180,62 +219,48 @@ def shortest_hop_path(t: Topology, src: int, dst: int) -> List[int]:
     dist = hop_distances(t, dst)
     if src not in dist:
         raise NoRoute(f"no path from {src} to {dst} over alive nodes")
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(v for v in t.adjacency[cur]
-                  if v in t.alive and dist.get(v) == dist[cur] - 1)
-        path.append(cur)
-    return path
-
-
-def _collector_for(t: Topology, n: int) -> Optional[int]:
-    role = t.nodes[n].role
-    if role is NodeRole.SINK:
-        return n
-    if role is NodeRole.SUB_SINK:
-        return t.sink
-    if role is NodeRole.AGGREGATOR:
-        return t.sub_sink
-    # Sensor: nearest alive aggregator by hop count, lowest id on ties.
-    best = None
-    for a in t.aggregators:
-        if a not in t.alive:
-            continue
-        d = hop_distances(t, a).get(n)
-        if d is not None and (best is None or d < best[0]):
-            best = (d, a)
-    return best[1] if best else None
-
-
-def route_to_collector(t: Topology, n: int) -> List[int]:
-    """Hop path from n to its role-appropriate collector."""
-    if n not in t.alive:
-        raise NoRoute(f"node {n} is not alive")
-    collector = _collector_for(t, n)
-    if collector is None:
-        raise NoRoute(f"no reachable collector for node {n}")
-    return shortest_hop_path(t, n, collector)
-
-
-def route_to_sink(t: Topology, n: int) -> List[int]:
-    return shortest_hop_path(t, n, t.sink)
+    return _walk(t, dist, src)
 
 
 def recompute_routes(t: Topology, mode: str) -> None:
-    """Refresh the cached route table; nodes without a route are omitted."""
+    """Refresh the cached route table; nodes without a route are omitted.
+
+    Baseline routes every alive sensor to the sink. Framework routes the
+    sink to itself, the sub-sink to the sink, each aggregator to the
+    sub-sink, and each sensor to its nearest alive aggregator by hop count
+    (the first in `t.aggregators` order on equal hops). Each target's BFS
+    field is computed at most once per call.
+    """
+    fields: Dict[int, Dict[int, int]] = {}
+
+    def dist_to(target: int) -> Dict[int, int]:
+        if target not in fields:
+            fields[target] = hop_distances(t, target)
+        return fields[target]
+
     routes: Dict[int, List[int]] = {}
     for node in t.nodes:
-        if node.id not in t.alive:
+        n, role = node.id, node.role
+        if n not in t.alive:
             continue
-        try:
-            if mode == "baseline":
-                if node.role is NodeRole.SENSOR:
-                    routes[node.id] = route_to_sink(t, node.id)
-            else:
-                routes[node.id] = route_to_collector(t, node.id)
-        except NoRoute:
-            continue
+        target: Optional[int] = None
+        if mode == "baseline":
+            if role is NodeRole.SENSOR:
+                target = t.sink
+        elif role is NodeRole.SINK:
+            target = n
+        elif role is NodeRole.SUB_SINK:
+            target = t.sink
+        elif role is NodeRole.AGGREGATOR:
+            target = t.sub_sink
+        else:
+            best = None
+            for a in t.aggregators:
+                d = dist_to(a).get(n)
+                if d is not None and (best is None or d < best):
+                    target, best = a, d
+        if target is not None and n in dist_to(target):
+            routes[n] = _walk(t, dist_to(target), n)
     t.routes = routes
 
 

@@ -92,6 +92,27 @@ class TestRun:
         assert code == 1
         assert "UnknownKey" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing,weights,error", [
+        ("scenario", "0\n" * 5, "FileNotFoundError"),
+        ("model", "0\n" * 5, "FileNotFoundError"),
+        (None, "0\nabc\n0\n0\n0\n", "InvalidValue"),
+        (None, "0\n1\n", "InvalidValue"),
+        ("out", "0\n" * 5, "FileNotFoundError"),
+    ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
+            "wrong_weight_count", "out_dir_missing"])
+    def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
+                                        missing, weights, error):
+        model = tmp_path / "model.txt"
+        model.write_text(weights)
+        paths = {"scenario": scenario(LINE_FIXTURE), "model": str(model),
+                 "out": str(tmp_path / "r.csv")}
+        if missing:
+            paths[missing] = str(tmp_path / "absent" / "file.txt")
+        code = main(["run", "--quiet",
+                     *(f"--{k}={v}" for k, v in paths.items())])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 class TestCompare:
     def test_permissive_delivered_ratio_one(self, scenario, tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from iirsim import engine
+from iirsim import engine, topology
 from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
@@ -138,6 +138,21 @@ class TestRun:
         # if dead nodes kept sensing, generated would be sensors * rounds
         n_sensors = sum(1 for _ in build_topology(sc, sc.seed).sensors())
         assert full.readings_generated < n_sensors * full.rounds_completed
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_reachability_checked_once_per_recompute(self, monkeypatch, mode):
+        calls = {"recompute_routes": 0, "sink_reachable": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(topology, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(topology, name, counted)
+        sc = small_grid(rounds=300, initial_energy_j=2e-4, mode=mode)
+        r = engine.run(sc).report
+        # one recompute at set-up, then one after each round with a death
+        assert calls["recompute_routes"] > 2
+        assert calls["sink_reachable"] == calls["recompute_routes"]
+        assert calls["sink_reachable"] < r.rounds_completed
 
     def test_mode_equivalence_on_line_fixture(self):
         fw = engine.run(line_fixture(noise_sigma=0.3), keep_delivered=True)

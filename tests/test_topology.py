@@ -1,14 +1,15 @@
+import math
 import random
 from collections import deque
 
 import pytest
 
+from iirsim import topology
 from iirsim.config import ScenarioConfig
 from iirsim.core import NodeRole
 from iirsim.errors import DisconnectedTopology, NoRoute
 from iirsim.topology import (Node, Topology, build_topology,
                              neighbors_in_round, recompute_routes,
-                             route_to_collector, route_to_sink,
                              shortest_hop_path)
 
 
@@ -56,12 +57,14 @@ class TestBuild:
                             aggregator_every=0, mode="baseline")
         t = build_topology(sc, seed=1)
         assert t.adjacency[0] == {1} and t.adjacency[1] == {0}
-        assert route_to_sink(t, 0) == [0, 1]
+        recompute_routes(t, "baseline")
+        assert t.routes[0] == [0, 1]
 
     def test_line_chain_route_matches_bfs(self):
         sc = line_scenario(mode="baseline", sub_sink=None, aggregator_ids=())
         t = build_topology(sc, seed=1)
-        assert route_to_sink(t, 0) == [0, 1, 2, 3]
+        recompute_routes(t, "baseline")
+        assert t.routes[0] == [0, 1, 2, 3]
         assert bfs_oracle(t.adjacency, t.alive, 0, 3) == 3
 
     def test_line_out_of_radius_disconnected(self):
@@ -87,7 +90,8 @@ class TestBuild:
 class TestRouting:
     def test_sink_self_route(self):
         t = graph_topology(2, [(0, 1)], sink=1)
-        assert route_to_collector(t, 1) == [1]
+        recompute_routes(t, "framework")
+        assert t.routes[1] == [1]
 
     def test_lowest_next_hop_tie_break(self):
         # two equal-length paths from 0 to 9, via 3 or via 7
@@ -138,7 +142,8 @@ class TestRouting:
         t = graph_topology(6, [(0, 1), (1, 2), (0, 4), (4, 5), (2, 5)],
                            sink=5, roles=roles)
         t.aggregators = (2, 4)
-        assert route_to_collector(t, 0) == [0, 4]
+        recompute_routes(t, "framework")
+        assert t.routes[0] == [0, 4]
 
 
 class TestNeighbors:
@@ -181,3 +186,173 @@ class TestRouteTable:
         t.alive.discard(1)
         recompute_routes(t, "baseline")
         assert t.routes[0] == [0, 2, 3]
+
+
+def reference_path(adjacency, alive, src, dst):
+    """Lowest-id minimum-hop path built from independent BFS distances."""
+    path = [src]
+    while path[-1] != dst:
+        left = bfs_oracle(adjacency, alive, path[-1], dst) - 1
+        path.append(min(v for v in adjacency[path[-1]]
+                        if bfs_oracle(adjacency, alive, v, dst) == left))
+    return path
+
+
+def reference_routes(t, mode):
+    """Route table built node by node: one BFS per aggregator per sensor
+    to pick the collector, then a minimum-hop path to it."""
+    routes = {}
+    for node in t.nodes:
+        n, role = node.id, node.role
+        if n not in t.alive:
+            continue
+        if mode == "baseline":
+            if role is not NodeRole.SENSOR:
+                continue
+            dst = t.sink
+        elif role is NodeRole.SINK:
+            dst = n
+        elif role is NodeRole.SUB_SINK:
+            dst = t.sink
+        elif role is NodeRole.AGGREGATOR:
+            dst = t.sub_sink
+        else:
+            dst, best = None, None
+            for a in t.aggregators:  # first in this order wins on equal hops
+                d = bfs_oracle(t.adjacency, t.alive, n, a)
+                if d is not None and (best is None or d < best):
+                    dst, best = a, d
+        if dst is not None and bfs_oracle(t.adjacency, t.alive, n, dst) is not None:
+            routes[n] = reference_path(t.adjacency, t.alive, n, dst)
+    return routes
+
+
+def random_role_topology(rng):
+    """Random connected graph with a sink, an optional sub-sink and a few
+    aggregators listed in random order."""
+    n = rng.randrange(4, 16)
+    edges = {tuple(sorted((i, rng.randrange(i)))) for i in range(1, n)}
+    for _ in range(rng.randrange(0, 2 * n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    ids = rng.sample(range(n), n)
+    sink, sub_sink = ids[0], (ids[1] if rng.random() < 0.8 else None)
+    aggregators = tuple(ids[2:2 + rng.randrange(1, 4)])
+    roles = {sink: NodeRole.SINK, **{a: NodeRole.AGGREGATOR for a in aggregators}}
+    if sub_sink is not None:
+        roles[sub_sink] = NodeRole.SUB_SINK
+    t = graph_topology(n, edges, sink=sink, roles=roles)
+    t.sub_sink, t.aggregators = sub_sink, aggregators
+    return t
+
+
+def equal_hop_aggregators(t, n):
+    """True when sensor n has two alive aggregators at its minimum hops."""
+    hops = [bfs_oracle(t.adjacency, t.alive, n, a) for a in t.aggregators]
+    hops = [h for h in hops if h is not None]
+    return len(hops) > 1 and hops.count(min(hops)) > 1
+
+
+class TestRouteTableOracle:
+    def test_matches_per_sensor_reference_under_kills(self):
+        rng = random.Random(2024)
+        seen = dict.fromkeys(("dead_sub_sink", "dead_aggregator",
+                              "no_sub_sink", "equal_hops"), 0)
+        for _ in range(150):
+            t = random_role_topology(rng)
+            while True:
+                for mode in ("baseline", "framework"):
+                    recompute_routes(t, mode)
+                    assert t.routes == reference_routes(t, mode)
+                seen["dead_sub_sink"] += (t.sub_sink is not None
+                                          and t.sub_sink not in t.alive)
+                seen["dead_aggregator"] += any(a not in t.alive
+                                               for a in t.aggregators)
+                seen["no_sub_sink"] += t.sub_sink is None
+                seen["equal_hops"] += any(
+                    equal_hop_aggregators(t, n) for n in t.alive
+                    if t.nodes[n].role is NodeRole.SENSOR)
+                killable = sorted(t.alive - {t.sink})
+                if not killable:
+                    break
+                t.alive -= set(rng.sample(killable,
+                                          rng.randrange(1, min(3, len(killable)) + 1)))
+        assert all(seen.values()), seen
+
+    def test_equal_hops_take_first_listed_aggregator(self):
+        # sensor 0 is two hops from aggregators 4 and 2
+        roles = {2: NodeRole.AGGREGATOR, 4: NodeRole.AGGREGATOR,
+                 5: NodeRole.SINK}
+        t = graph_topology(6, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 5),
+                               (4, 5)], sink=5, roles=roles)
+        for order, expected in (((2, 4), [0, 1, 2]), ((4, 2), [0, 3, 4])):
+            t.aggregators = order
+            recompute_routes(t, "framework")
+            assert t.routes[0] == expected
+
+    def test_reference_grid_matches_reference(self):
+        t = build_topology(ScenarioConfig(node_count=49, aggregator_every=8),
+                           seed=1)
+        rng = random.Random(5)
+        for _ in range(3):
+            for mode in ("baseline", "framework"):
+                recompute_routes(t, mode)
+                assert t.routes == reference_routes(t, mode)
+            t.alive -= set(rng.sample(sorted(t.alive - {t.sink}), 5))
+
+
+def brute_force_adjacency(pos, r):
+    return {i: {j for j in range(len(pos)) if j != i
+                and math.hypot(pos[i][0] - pos[j][0],
+                               pos[i][1] - pos[j][1]) <= r}
+            for i in range(len(pos))}
+
+
+class TestAdjacencyOracle:
+    @pytest.mark.parametrize("kw", [
+        dict(grid_spacing=10.0, comm_radius=10.0),
+        dict(node_count=30, placement="line", grid_spacing=4.0,
+             comm_radius=9.0, sub_sink=None, aggregator_every=0,
+             mode="baseline"),
+        dict(node_count=200, placement="uniform", area_size=123.4,
+             comm_radius=25.0, aggregator_every=9),
+        dict(node_count=144, grid_spacing=5.0, comm_radius=7.3),
+        dict(node_count=150, placement="uniform", comm_radius=7.3,
+             grid_spacing=3.0, aggregator_every=13),
+    ], ids=["grid_boundary", "line", "uniform_area", "grid_radius_7_3",
+            "uniform_radius_7_3"])
+    def test_cell_list_equals_all_pairs(self, kw):
+        t = build_topology(ScenarioConfig(**kw), seed=4)
+        assert t.adjacency == brute_force_adjacency(
+            [node.pos for node in t.nodes], t.comm_radius)
+
+    @pytest.mark.parametrize("pos,r", [
+        ([(0.0, 0.0), (1.0, 0.0), (math.nan, 0.0), (2.0, 0.0)], 1.0),
+        ([(0.0, 0.0), (math.inf, 0.0), (math.inf, 1.0), (3.0, 0.0)], math.inf),
+        ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], math.nan),
+        ([(1e17 + 16.0 * i, 0.0) for i in range(6)], 16.0),
+        ([(1e300, 0.0), (1e300, 1e-300), (0.0, 0.0)], 1e-300),
+    ], ids=["nan_position", "inf_positions_inf_radius", "nan_radius",
+            "far_from_origin", "quotient_overflows"])
+    def test_unbinnable_or_far_positions_equal_all_pairs(self, pos, r):
+        assert topology._adjacency(pos, r) == brute_force_adjacency(pos, r)
+
+
+class TestRouteRecomputeCost:
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = []
+        original = topology.hop_distances
+
+        def counted(t, target):
+            calls.append(target)
+            return original(t, target)
+        monkeypatch.setattr(topology, "hop_distances", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_one_bfs_per_target(self, bfs_calls, mode):
+        t = build_topology(ScenarioConfig(mode=mode), seed=1)
+        bfs_calls.clear()
+        recompute_routes(t, mode)
+        limit = 1 if mode == "baseline" else len(t.aggregators) + 2
+        assert len(bfs_calls) <= limit
