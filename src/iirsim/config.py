@@ -179,8 +179,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path) as f:
-        return parse_scenario(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidScenario(f"scenario file {path!r} is not UTF-8: "
+                              f"{exc.reason} at byte {exc.start}") from None
+    return parse_scenario(text)
 
 
 def with_overrides(sc: ScenarioConfig, **overrides) -> ScenarioConfig:

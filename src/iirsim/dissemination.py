@@ -1,18 +1,17 @@
 """Hop-by-hop packet movement with per-hop energy billing."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .config import ScenarioConfig
 from .core import Packet, SensorReading, make_packet
 from .energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 from .errors import NoRoute
+from .metrics import MetricsReport
 from .topology import Topology
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
+class TransmissionEvent(NamedTuple):
     round: int
     packet: Packet
     hop: Tuple[int, int]
@@ -23,8 +22,10 @@ class TransmissionEvent:
 
 def send_along(route: Sequence[int], readings: Sequence[SensorReading],
                topology: Topology, radio: RadioParams, ledger: EnergyLedger,
+               report: MetricsReport,
                batch_cap: int = ScenarioConfig.batch_cap, round_no: int = 0):
-    """Move readings along `route` in packets of at most batch_cap.
+    """Move readings along `route` in packets of at most batch_cap, adding
+    every hop's bits and billed energy to `report`.
 
     Returns (events, delivered_readings, lost_reading_count). A node death
     mid-route cancels the remaining hops for that packet; the loss is an
@@ -38,38 +39,52 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     if len(route) == 1:
         return [], readings, 0
 
+    alive, debit = ledger.alive, ledger.debit
+    discard = topology.alive.discard
+    last = route[-1]
+    legs = [((a, b), a, b, topology.distance(a, b))
+            for a, b in zip(route, route[1:])]
     events: List[TransmissionEvent] = []
     delivered: List[SensorReading] = []
     lost = 0
+    bits_total = 0
+    energy, comp = report.total_energy_consumed_j, report._energy_comp
     for i in range(0, len(readings), batch_cap):
         chunk = readings[i:i + batch_cap]
-        pkt = make_packet(route[0], route[-1], chunk)
+        pkt = make_packet(route[0], last, chunk)
+        bits = pkt.bits
+        rx = rx_cost(radio, bits)
         completed = True
-        for a, b in zip(route, route[1:]):
-            if not (ledger.alive(a) and ledger.alive(b)):
+        for hop, a, b, d in legs:
+            if not (alive(a) and alive(b)):
                 completed = False
                 break
-            d = topology.distance(a, b)
-            tx_applied = ledger.debit(a, tx_cost(radio, pkt.bits, d), round_no)
-            rx_applied = ledger.debit(b, rx_cost(radio, pkt.bits), round_no)
-            events.append(TransmissionEvent(round=round_no, packet=pkt,
-                                            hop=(a, b), distance=d,
-                                            tx_energy=tx_applied,
-                                            rx_energy=rx_applied))
+            tx_applied = debit(a, tx_cost(radio, bits, d), round_no)
+            rx_applied = debit(b, rx, round_no)
+            events.append(TransmissionEvent(round_no, pkt, hop, d,
+                                            tx_applied, rx_applied))
+            bits_total += bits
+            # Kahan: hop energies are tiny against the running total.
+            y = (tx_applied + rx_applied) - comp
+            t = energy + y
+            comp = (t - energy) - y
+            energy = t
             # A node that overdraws finishes this one event, then drops out;
             # the packet's remaining hops are cancelled.
             died = False
-            if not ledger.alive(a):
-                topology.alive.discard(a)
+            if not alive(a):
+                discard(a)
                 died = True
-            if not ledger.alive(b):
-                topology.alive.discard(b)
+            if not alive(b):
+                discard(b)
                 died = True
-            if died and b != route[-1]:
+            if died and b != last:
                 completed = False
                 break
         if completed:
             delivered.extend(chunk)
         else:
             lost += len(chunk)
+    report.total_bits_transmitted += bits_total
+    report.total_energy_consumed_j, report._energy_comp = energy, comp
     return events, delivered, lost

@@ -48,7 +48,9 @@ class EnergyLedger:
         return max(0.0, init - self._consumed[node])
 
     def alive(self, node: int) -> bool:
-        return self.remaining(node) > 0
+        # Same answer as remaining(node) > 0, including infinite, NaN and
+        # zero initial energy, in one comparison.
+        return self._consumed[node] < self._initial[node]
 
     def finite_nodes(self) -> list:
         return sorted(n for n, e in self._initial.items() if not math.isinf(e))
@@ -60,8 +62,9 @@ class EnergyLedger:
         init = self._initial[node]
         if math.isinf(init) or amount == 0.0:
             return 0.0
-        remaining = self.remaining(node)
-        if remaining <= 0.0:
+        consumed = self._consumed[node]
+        remaining = init - consumed
+        if not remaining > 0.0:  # a NaN balance is empty, as in remaining()
             return 0.0
         if amount >= remaining:
             # Node completes this one event, then dies; battery pins to empty.
@@ -73,8 +76,8 @@ class EnergyLedger:
             return remaining
         # Kahan step keeps long debit chains reconcilable bit-for-bit.
         y = amount - self._comp[node]
-        t = self._consumed[node] + y
-        self._comp[node] = (t - self._consumed[node]) - y
+        t = consumed + y
+        self._comp[node] = (t - consumed) - y
         self._consumed[node] = t
         return amount
 

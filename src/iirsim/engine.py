@@ -132,11 +132,9 @@ class _Run:
     # -- helpers -----------------------------------------------------------
 
     def _send(self, route, readings, round_no):
-        events, delivered, lost = dissemination.send_along(
-            route, readings, self.topo, self.radio, self.ledger,
+        _, delivered, lost = dissemination.send_along(
+            route, readings, self.topo, self.radio, self.ledger, self.report,
             batch_cap=self.sc.batch_cap, round_no=round_no)
-        for ev in events:
-            metrics.record(self.report, ev)
         self.report.readings_lost_in_transit += lost
         hops = len(route) - 1
         return delivered, hops

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from .dissemination import TransmissionEvent
-from .pipeline import (StageTrace)
+from .pipeline import StageTrace
 from .core import STAGE_OPINION, STAGE_PRIORITY, STAGE_REVIEW, STAGE_SENTIMENT
 
 # Fixed CSV column order; also the JSON field set.
@@ -65,25 +64,18 @@ class MetricsReport:
     event_readings_generated: int = field(default=0, compare=False)
     event_readings_delivered: int = field(default=0, compare=False)
     delivered_hops_total: int = field(default=0, compare=False)
+    # Kahan compensation of total_energy_consumed_j, which
+    # dissemination.send_along adds every hop's billed energy to
     _energy_comp: float = field(default=0.0, compare=False, repr=False)
 
 
-def record(report: MetricsReport,
-           item: Union[TransmissionEvent, StageTrace]) -> MetricsReport:
-    """Fold one transmission event or one round's stage trace into the totals."""
-    if isinstance(item, TransmissionEvent):
-        report.total_bits_transmitted += item.packet.bits
-        # Kahan: event energies are tiny against the running total.
-        y = (item.tx_energy + item.rx_energy) - report._energy_comp
-        t = report.total_energy_consumed_j + y
-        report._energy_comp = (t - report.total_energy_consumed_j) - y
-        report.total_energy_consumed_j = t
-    elif isinstance(item, StageTrace):
-        for stage, _, n_out in item.counts:
-            setattr(report, _STAGE_FIELD[stage],
-                    getattr(report, _STAGE_FIELD[stage]) + n_out)
-    else:
+def record(report: MetricsReport, item: StageTrace) -> MetricsReport:
+    """Fold one round's stage trace into the stage counts."""
+    if not isinstance(item, StageTrace):
         raise TypeError(f"cannot record {type(item).__name__}")
+    for stage, _, n_out in item.counts:
+        setattr(report, _STAGE_FIELD[stage],
+                getattr(report, _STAGE_FIELD[stage]) + n_out)
     return report
 
 

@@ -9,11 +9,12 @@ stage that dropped it and never reappears.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
-                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
+                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading,
+                   StageAnnotation, _atomic_write)
 from .errors import EmptyTrainingSet, InvalidValue
 from .topology import Topology, neighbors_in_round
 
@@ -69,8 +70,17 @@ def features(r: SensorReading, cfg: PipelineConfig) -> Tuple[float, ...]:
             (r.value - cfg.band_lo) / w, 1.0)
 
 
-def _drop(r: SensorReading, stage: str) -> SensorReading:
-    return replace(r, annotations=replace(r.annotations, drop_stage=stage))
+def _annotate(r: SensorReading, drop_stage: Optional[str] = None,
+              **scores) -> SensorReading:
+    """`r` with the given annotation scores and, when it is dropped, the
+    stage that dropped it; built in one step, other annotations kept."""
+    a = r.annotations
+    return SensorReading(r.source, r.round, r.value, StageAnnotation(
+        scores.get("priority_score", a.priority_score),
+        scores.get("opinion_deviation", a.opinion_deviation),
+        scores.get("consensus_ratio", a.consensus_ratio),
+        scores.get("class_label", a.class_label),
+        a.drop_stage if drop_stage is None else drop_stage))
 
 
 def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
@@ -78,11 +88,10 @@ def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
     w = cfg.band_width
     for r in readings:
         score = max(0.0, (r.value - cfg.band_hi) / w, (cfg.band_lo - r.value) / w)
-        r = replace(r, annotations=replace(r.annotations, priority_score=score))
         if score >= cfg.theta_p:
-            kept.append(r)
+            kept.append(_annotate(r, priority_score=score))
         else:
-            dropped.append(_drop(r, STAGE_PRIORITY))
+            dropped.append(_annotate(r, STAGE_PRIORITY, priority_score=score))
     return kept, dropped
 
 
@@ -93,7 +102,7 @@ def opinion_analysis(readings: Sequence[SensorReading],
     for r in readings:
         if not cfg.range_lo <= r.value <= cfg.range_hi:
             # fails the fact check: physically implausible
-            dropped.append(_drop(r, STAGE_OPINION))
+            dropped.append(_annotate(r, STAGE_OPINION))
             continue
         hist = history_index.get(r.source)
         if hist:
@@ -103,8 +112,11 @@ def opinion_analysis(readings: Sequence[SensorReading],
         else:
             deviation = cfg.band_width  # cold start always passes
             ok = True
-        r = replace(r, annotations=replace(r.annotations, opinion_deviation=deviation))
-        (kept if ok else dropped).append(r if ok else _drop(r, STAGE_OPINION))
+        if ok:
+            kept.append(_annotate(r, opinion_deviation=deviation))
+        else:
+            dropped.append(_annotate(r, STAGE_OPINION,
+                                     opinion_deviation=deviation))
     return kept, dropped
 
 
@@ -122,11 +134,10 @@ def review_analysis(readings: Sequence[SensorReading],
             ratio = sum(1 for v in peers if abs(v - r.value) <= cfg.tau_r) / len(peers)
         else:
             ratio = 1.0  # sparse region: nobody to contradict the reading
-        r = replace(r, annotations=replace(r.annotations, consensus_ratio=ratio))
         if ratio >= cfg.quorum_q:
-            kept.append(r)
+            kept.append(_annotate(r, consensus_ratio=ratio))
         else:
-            dropped.append(_drop(r, STAGE_REVIEW))
+            dropped.append(_annotate(r, STAGE_REVIEW, consensus_ratio=ratio))
     return kept, dropped
 
 
@@ -175,12 +186,11 @@ def sentiment_classify(readings: Sequence[SensorReading],
             forward = model.decide(features(r, cfg))
         else:
             forward = False
-        label = LABEL_FORWARD if forward else LABEL_DISCARD
-        r = replace(r, annotations=replace(r.annotations, class_label=label))
         if forward:
-            kept.append(r)
+            kept.append(_annotate(r, class_label=LABEL_FORWARD))
         else:
-            dropped.append(_drop(r, STAGE_SENTIMENT))
+            dropped.append(_annotate(r, STAGE_SENTIMENT,
+                                     class_label=LABEL_DISCARD))
     return kept, dropped
 
 
@@ -228,16 +238,21 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"model file {path!r} is not UTF-8: "
+                           f"{exc.reason} at byte {exc.start}") from None
     weights = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError:
-                raise InvalidValue(f"model file line {lineno}: invalid "
-                                   f"weight {line.strip()!r}") from None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            weights.append(float(line))
+        except ValueError:
+            raise InvalidValue(f"model file line {lineno}: invalid "
+                               f"weight {line.strip()!r}") from None
     if len(weights) != N_FEATURES:
         raise InvalidValue(f"model file has {len(weights)} weights, "
                            f"expected {N_FEATURES}")

@@ -92,22 +92,32 @@ class TestRun:
         assert code == 1
         assert "UnknownKey" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("missing,weights,error", [
-        ("scenario", "0\n" * 5, "FileNotFoundError"),
-        ("model", "0\n" * 5, "FileNotFoundError"),
+    # bad: None, or (the input to replace, its bytes; None for no such file)
+    @pytest.mark.parametrize("bad,weights,error", [
+        (("scenario", None), "0\n" * 5, "FileNotFoundError"),
+        (("model", None), "0\n" * 5, "FileNotFoundError"),
         (None, "0\nabc\n0\n0\n0\n", "InvalidValue"),
         (None, "0\n1\n", "InvalidValue"),
-        ("out", "0\n" * 5, "FileNotFoundError"),
+        (("out", None), "0\n" * 5, "FileNotFoundError"),
+        (("scenario", b"\xff\xfe"), "0\n" * 5, "InvalidScenario"),
+        (("model", b"\xff\xfe"), "0\n" * 5, "InvalidValue"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
-            "wrong_weight_count", "out_dir_missing"])
+            "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
+            "non_utf8_model"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
-                                        missing, weights, error):
+                                        bad, weights, error):
         model = tmp_path / "model.txt"
         model.write_text(weights)
         paths = {"scenario": scenario(LINE_FIXTURE), "model": str(model),
                  "out": str(tmp_path / "r.csv")}
-        if missing:
-            paths[missing] = str(tmp_path / "absent" / "file.txt")
+        if bad is not None:
+            name, content = bad
+            if content is None:
+                paths[name] = str(tmp_path / "absent" / "file.txt")
+            else:
+                path = tmp_path / f"bad-{name}.txt"
+                path.write_bytes(content)
+                paths[name] = str(path)
         code = main(["run", "--quiet",
                      *(f"--{k}={v}" for k, v in paths.items())])
         assert code == 1

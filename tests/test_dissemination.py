@@ -6,6 +6,7 @@ from iirsim.core import NodeRole, SensorReading, packet_bits
 from iirsim.dissemination import send_along
 from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 from iirsim.errors import NoRoute
+from iirsim.metrics import MetricsReport
 from iirsim.topology import Node, Topology
 
 RADIO = RadioParams()
@@ -34,13 +35,17 @@ def readings(n, rnd=0):
 class TestSendAlong:
     def test_empty_readings_no_events(self):
         t, ledger = line_topology(2)
-        events, delivered, lost = send_along([0, 1], [], t, RADIO, ledger)
+        report = MetricsReport()
+        events, delivered, lost = send_along([0, 1], [], t, RADIO, ledger,
+                                             report)
         assert events == [] and delivered == [] and lost == 0
+        assert report == MetricsReport()
 
     def test_single_reading_single_hop(self):
         t, ledger = line_topology(2)
         events, delivered, lost = send_along([0, 1], readings(1), t, RADIO,
-                                             ledger, batch_cap=10)
+                                             ledger, MetricsReport(),
+                                             batch_cap=10)
         assert len(events) == 1
         assert events[0].packet.bits == 128
         assert len(delivered) == 1 and lost == 0
@@ -50,7 +55,8 @@ class TestSendAlong:
         t, ledger = line_topology(4)
         route = [0, 1, 2, 3]
         events, delivered, lost = send_along(route, readings(25), t, RADIO,
-                                             ledger, batch_cap=10)
+                                             ledger, MetricsReport(),
+                                             batch_cap=10)
         n_packets = -(-25 // 10)
         assert len(events) == n_packets * (len(route) - 1) == 9
         assert len(delivered) == 25 and lost == 0
@@ -60,16 +66,18 @@ class TestSendAlong:
     def test_empty_route_rejected(self):
         t, ledger = line_topology(2)
         with pytest.raises(NoRoute):
-            send_along([], readings(1), t, RADIO, ledger)
+            send_along([], readings(1), t, RADIO, ledger, MetricsReport())
 
     def test_self_route_delivers_without_events(self):
         t, ledger = line_topology(2)
-        events, delivered, lost = send_along([0], readings(3), t, RADIO, ledger)
+        events, delivered, lost = send_along([0], readings(3), t, RADIO,
+                                             ledger, MetricsReport())
         assert events == [] and len(delivered) == 3 and lost == 0
 
     def test_energy_billed_matches_radio_model(self):
         t, ledger = line_topology(3, spacing=8.0)
-        events, _, _ = send_along([0, 1, 2], readings(2), t, RADIO, ledger)
+        events, _, _ = send_along([0, 1, 2], readings(2), t, RADIO, ledger,
+                                  MetricsReport())
         for e in events:
             assert e.tx_energy == pytest.approx(
                 tx_cost(RADIO, e.packet.bits, e.distance), rel=1e-12)
@@ -84,7 +92,7 @@ class TestSendAlong:
         t, ledger = line_topology(4, energy=1.0)
         ledger._initial[1] = rx_cost(RADIO, 128) + 1e-9
         events, delivered, lost = send_along([0, 1, 2, 3], readings(1), t,
-                                             RADIO, ledger)
+                                             RADIO, ledger, MetricsReport())
         assert delivered == [] and lost == 1
         assert len(events) == 2  # hop 0->1 completes, 1->2 kills the sender
         assert 1 not in t.alive
@@ -95,14 +103,15 @@ class TestSendAlong:
         t.alive.discard(1)
         ledger._initial[1] = 0.0
         events, delivered, lost = send_along([0, 1, 2], readings(4), t, RADIO,
-                                             ledger, batch_cap=2)
+                                             ledger, MetricsReport(),
+                                             batch_cap=2)
         assert events == [] and delivered == [] and lost == 4
 
     def test_bits_billed_equal_bits_carried(self):
         t, ledger = line_topology(5)
         route = [0, 1, 2, 3, 4]
         events, _, _ = send_along(route, readings(33), t, RADIO, ledger,
-                                  batch_cap=8)
+                                  MetricsReport(), batch_cap=8)
         per_packet = {}
         for e in events:
             per_packet.setdefault(id(e.packet), [e.packet.bits, 0])[1] += 1

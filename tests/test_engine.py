@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from iirsim import engine, topology
+from iirsim import dissemination, engine, metrics, topology
 from iirsim.config import ScenarioConfig, parse_scenario
+from iirsim.energy import EnergyLedger
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
 
@@ -162,6 +163,66 @@ class TestRun:
         assert key(fw.delivered) == key(bl.delivered)
 
 
+def reference(mode):
+    """The reference scenario: an empty scenario file plus `rounds = 50`."""
+    return dataclasses.replace(parse_scenario("rounds = 50\n"), mode=mode)
+
+
+def draining(mode):
+    """Batteries so small that nodes die, some in the middle of a route."""
+    return small_grid(rounds=300, initial_energy_j=2e-4, mode=mode)
+
+
+class TestHopTotals:
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    @pytest.mark.parametrize("make", [reference, draining])
+    def test_totals_equal_replayed_events(self, monkeypatch, make, mode):
+        results = []
+        send_along = dissemination.send_along
+
+        def captured(*args, **kwargs):
+            results.append(send_along(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(dissemination, "send_along", captured)
+        r = engine.run(make(mode)).report
+        # Kahan fold of every hop, in the order the hops were made
+        bits, energy, comp = 0, 0.0, 0.0
+        for events, _, _ in results:
+            for ev in events:
+                bits += ev.packet.bits
+                y = (ev.tx_energy + ev.rx_energy) - comp
+                t = energy + y
+                comp = (t - energy) - y
+                energy = t
+        assert bits > 0
+        assert r.total_bits_transmitted == bits
+        assert r.total_energy_consumed_j == energy
+        if make is draining:
+            assert any(events and lost for events, _, lost in results)
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_no_per_hop_record_or_remaining(self, monkeypatch, mode):
+        calls = {"record": 0, "remaining": 0}
+        record, remaining = metrics.record, EnergyLedger.remaining
+
+        def counted_record(*args):
+            calls["record"] += 1
+            return record(*args)
+
+        def counted_remaining(*args):
+            calls["remaining"] += 1
+            return remaining(*args)
+        monkeypatch.setattr(metrics, "record", counted_record)
+        monkeypatch.setattr(EnergyLedger, "remaining", counted_remaining)
+        r = engine.run(reference(mode)).report
+        # record folds one stage trace per framework round; hops are
+        # folded by send_along
+        assert calls["record"] == (r.rounds_completed
+                                   if mode == "framework" else 0)
+        # remaining() only fills per_node_energy_remaining_j at the end
+        assert calls["remaining"] == len(r.per_node_energy_remaining_j)
+
+
 class TestTrainingCollection:
     def test_examples_have_labels_from_ground_truth(self):
         sc = small_grid(rounds=60, event_rate=0.5, event_radius=50.0)
@@ -190,6 +251,5 @@ REFERENCE_DIGESTS = {
 
 @pytest.mark.parametrize("mode", sorted(REFERENCE_DIGESTS))
 def test_reference_report_digest(mode):
-    sc = dataclasses.replace(parse_scenario("rounds = 50\n"), mode=mode)
-    text = serialize(engine.run(sc).report, "json")
+    text = serialize(engine.run(reference(mode)).report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_DIGESTS[mode]

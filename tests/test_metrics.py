@@ -1,23 +1,31 @@
 import pytest
 
-from iirsim.core import SensorReading, make_packet
-from iirsim.dissemination import TransmissionEvent
+from iirsim.core import NodeRole, SensorReading, make_packet
+from iirsim.dissemination import TransmissionEvent, send_along
+from iirsim.energy import EnergyLedger, RadioParams
 from iirsim.metrics import (COLUMNS, MetricsReport, finalize, from_json,
                             record, serialize, to_csv, to_json)
 from iirsim.pipeline import StageTrace
+from iirsim.topology import Node, Topology
 
 
-def one_hop_event(bits_payload=1):
-    pkt = make_packet(0, 1, [SensorReading(source=0, round=0, value=1.0)
-                             for _ in range(bits_payload)])
-    return TransmissionEvent(round=0, packet=pkt, hop=(0, 1), distance=10.0,
-                             tx_energy=7.68e-6, rx_energy=6.4e-6)
+def one_hop_send(report, n_readings=1):
+    """Send n_readings in one packet over one 10 m hop between two nodes
+    with finite batteries, folding the hop into `report`."""
+    nodes = [Node(0, NodeRole.SENSOR, (0.0, 0.0)),
+             Node(1, NodeRole.SINK, (10.0, 0.0))]
+    t = Topology(nodes=nodes, comm_radius=10.0, adjacency={0: {1}, 1: {0}},
+                 alive={0, 1}, sink=1, sub_sink=None, aggregators=())
+    ledger = EnergyLedger({0: 1.0, 1: 1.0})
+    return send_along([0, 1], [SensorReading(source=0, round=0, value=1.0)
+                               for _ in range(n_readings)],
+                      t, RadioParams(), ledger, report)
 
 
 class TestRecord:
     def test_event_accumulates_bits_and_energy(self):
         r = MetricsReport(mode="baseline")
-        record(r, one_hop_event())
+        one_hop_send(r)
         assert r.total_bits_transmitted == 128
         assert r.total_energy_consumed_j == pytest.approx(7.68e-6 + 6.4e-6,
                                                           rel=1e-12)
@@ -26,12 +34,11 @@ class TestRecord:
         assert MetricsReport(mode="baseline") == MetricsReport(mode="baseline")
 
     def test_replay_gives_identical_reports(self):
-        events = [one_hop_event(i % 3 + 1) for i in range(20)]
         a, b = MetricsReport(mode="x"), MetricsReport(mode="x")
-        for e in events:
-            record(a, e)
-        for e in events:
-            record(b, e)
+        for i in range(20):
+            one_hop_send(a, i % 3 + 1)
+        for i in range(20):
+            one_hop_send(b, i % 3 + 1)
         assert finalize(a) == finalize(b)
 
     def test_trace_updates_stage_counts(self):
@@ -45,6 +52,11 @@ class TestRecord:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             record(MetricsReport(), object())
+        # hop totals are folded by send_along, not by record
+        event = TransmissionEvent(0, make_packet(0, 1, []), (0, 1), 10.0,
+                                  6.4e-6, 3.2e-6)
+        with pytest.raises(TypeError):
+            record(MetricsReport(), event)
 
 
 class TestFinalize:
