@@ -42,33 +42,26 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     alive, debit = ledger.alive, ledger.debit
     discard = topology.alive.discard
     last = route[-1]
-    legs = [((a, b), a, b, topology.distance(a, b))
-            for a, b in zip(route, route[1:])]
     events: List[TransmissionEvent] = []
     delivered: List[SensorReading] = []
     lost = 0
     bits_total = 0
-    energy, comp = report.total_energy_consumed_j, report._energy_comp
     for i in range(0, len(readings), batch_cap):
         chunk = readings[i:i + batch_cap]
         pkt = make_packet(route[0], last, chunk)
         bits = pkt.bits
         rx = rx_cost(radio, bits)
         completed = True
-        for hop, a, b, d in legs:
+        for a, b in zip(route, route[1:]):
             if not (alive(a) and alive(b)):
                 completed = False
                 break
+            d = topology.distance(a, b)
             tx_applied = debit(a, tx_cost(radio, bits, d), round_no)
             rx_applied = debit(b, rx, round_no)
-            events.append(TransmissionEvent(round_no, pkt, hop, d,
+            events.append(TransmissionEvent(round_no, pkt, (a, b), d,
                                             tx_applied, rx_applied))
             bits_total += bits
-            # Kahan: hop energies are tiny against the running total.
-            y = (tx_applied + rx_applied) - comp
-            t = energy + y
-            comp = (t - energy) - y
-            energy = t
             # A node that overdraws finishes this one event, then drops out;
             # the packet's remaining hops are cancelled.
             died = False
@@ -86,5 +79,5 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
         else:
             lost += len(chunk)
     report.total_bits_transmitted += bits_total
-    report.total_energy_consumed_j, report._energy_comp = energy, comp
+    report.add_energy(e.tx_energy + e.rx_energy for e in events)
     return events, delivered, lost

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from .pipeline import StageTrace
 from .core import STAGE_OPINION, STAGE_PRIORITY, STAGE_REVIEW, STAGE_SENTIMENT
@@ -64,9 +64,19 @@ class MetricsReport:
     event_readings_generated: int = field(default=0, compare=False)
     event_readings_delivered: int = field(default=0, compare=False)
     delivered_hops_total: int = field(default=0, compare=False)
-    # Kahan compensation of total_energy_consumed_j, which
-    # dissemination.send_along adds every hop's billed energy to
+    # Kahan compensation of total_energy_consumed_j; only add_energy uses it
     _energy_comp: float = field(default=0.0, compare=False, repr=False)
+
+    def add_energy(self, hop_energies: Iterable[float]) -> None:
+        """Kahan-add billed hop energies, in the given order, to
+        total_energy_consumed_j: hop energies are tiny against the total."""
+        total, comp = self.total_energy_consumed_j, self._energy_comp
+        for e in hop_energies:
+            y = e - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        self.total_energy_consumed_j, self._energy_comp = total, comp
 
 
 def record(report: MetricsReport, item: StageTrace) -> MetricsReport:

@@ -70,16 +70,19 @@ def features(r: SensorReading, cfg: PipelineConfig) -> Tuple[float, ...]:
             (r.value - cfg.band_lo) / w, 1.0)
 
 
-def _annotate(r: SensorReading, drop_stage: Optional[str] = None,
-              **scores) -> SensorReading:
+def _annotate(r: SensorReading, drop_stage: Optional[str] = None, *,
+              priority_score: Optional[float] = None,
+              opinion_deviation: Optional[float] = None,
+              consensus_ratio: Optional[float] = None,
+              class_label: Optional[str] = None) -> SensorReading:
     """`r` with the given annotation scores and, when it is dropped, the
     stage that dropped it; built in one step, other annotations kept."""
     a = r.annotations
     return SensorReading(r.source, r.round, r.value, StageAnnotation(
-        scores.get("priority_score", a.priority_score),
-        scores.get("opinion_deviation", a.opinion_deviation),
-        scores.get("consensus_ratio", a.consensus_ratio),
-        scores.get("class_label", a.class_label),
+        a.priority_score if priority_score is None else priority_score,
+        a.opinion_deviation if opinion_deviation is None else opinion_deviation,
+        a.consensus_ratio if consensus_ratio is None else consensus_ratio,
+        a.class_label if class_label is None else class_label,
         a.drop_stage if drop_stage is None else drop_stage))
 
 

@@ -41,6 +41,17 @@ class TestRecord:
             one_hop_send(b, i % 3 + 1)
         assert finalize(a) == finalize(b)
 
+    def test_energy_fold_split_over_calls_equals_one_fold(self):
+        # 1e-16 is below half an ulp of 1.0: only the carried Kahan
+        # compensation keeps these hops in the total
+        hops = [1.0] + [1e-16] * 50
+        whole, split = MetricsReport(), MetricsReport()
+        whole.add_energy(hops)
+        for e in hops:
+            split.add_energy([e])
+        assert whole.total_energy_consumed_j > 1.0
+        assert split.total_energy_consumed_j == whole.total_energy_consumed_j
+
     def test_trace_updates_stage_counts(self):
         r = MetricsReport()
         trace = StageTrace(counts=[("priority", 10, 6), ("opinion", 6, 5),
