@@ -1,6 +1,7 @@
 """Scenario definition: the `key = value` experiment file format and defaults."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Tuple, Union
 
@@ -82,8 +83,8 @@ class ScenarioConfig:
             raise InvalidScenario("grid_spacing must be positive")
         if self.initial_energy_j <= 0:
             raise InvalidScenario("initial_energy_j must be positive")
-        if self.e_elec <= 0 or self.e_amp <= 0:
-            raise InvalidScenario("radio constants must be positive")
+        if not (0 < self.e_elec < math.inf and 0 < self.e_amp < math.inf):
+            raise InvalidScenario("radio constants must be positive and finite")
         if not self.band_lo < self.band_hi:
             raise InvalidScenario("band_lo must be below band_hi")
         if not (self.range_lo <= self.band_lo and self.band_hi <= self.range_hi):

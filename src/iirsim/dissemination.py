@@ -1,11 +1,11 @@
-"""Hop-by-hop packet movement with per-hop energy billing."""
+"""Packet movement along a route, billed hop by hop by the energy ledger."""
 from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .config import ScenarioConfig
 from .core import Packet, SensorReading, make_packet
-from .energy import EnergyLedger, RadioParams, rx_cost, tx_cost
+from .energy import EnergyLedger, RadioParams
 from .errors import NoRoute
 from .metrics import MetricsReport
 from .topology import Topology
@@ -36,11 +36,10 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     if batch_cap < 1:
         raise ValueError("batch_cap must be positive")
     readings = list(readings)
-    if len(route) == 1:
+    legs = topology.legs(route)
+    if not legs:
         return [], readings, 0
 
-    alive, debit = ledger.alive, ledger.debit
-    discard = topology.alive.discard
     last = route[-1]
     events: List[TransmissionEvent] = []
     delivered: List[SensorReading] = []
@@ -49,32 +48,12 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     for i in range(0, len(readings), batch_cap):
         chunk = readings[i:i + batch_cap]
         pkt = make_packet(route[0], last, chunk)
-        bits = pkt.bits
-        rx = rx_cost(radio, bits)
-        completed = True
-        for a, b in zip(route, route[1:]):
-            if not (alive(a) and alive(b)):
-                completed = False
-                break
-            d = topology.distance(a, b)
-            tx_applied = debit(a, tx_cost(radio, bits, d), round_no)
-            rx_applied = debit(b, rx, round_no)
-            events.append(TransmissionEvent(round_no, pkt, (a, b), d,
-                                            tx_applied, rx_applied))
-            bits_total += bits
-            # A node that overdraws finishes this one event, then drops out;
-            # the packet's remaining hops are cancelled.
-            died = False
-            if not alive(a):
-                discard(a)
-                died = True
-            if not alive(b):
-                discard(b)
-                died = True
-            if died and b != last:
-                completed = False
-                break
-        if completed:
+        billed, arrived, killed = ledger.carry(legs, pkt.bits, radio, round_no)
+        for (a, b, d), (tx, rx) in zip(legs, billed):
+            events.append(TransmissionEvent(round_no, pkt, (a, b), d, tx, rx))
+        bits_total += pkt.bits * len(billed)
+        topology.alive.difference_update(killed)
+        if arrived:
             delivered.extend(chunk)
         else:
             lost += len(chunk)

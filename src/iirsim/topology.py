@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from .core import NodeRole, mix_seed
 from .errors import DisconnectedTopology, InvalidScenario, NoRoute
@@ -33,9 +33,17 @@ class Topology:
     aggregators: Tuple[int, ...]
     routes: Dict[int, List[int]] = field(default_factory=dict)
 
-    def distance(self, a: int, b: int) -> float:
-        (ax, ay), (bx, by) = self.nodes[a].pos, self.nodes[b].pos
-        return math.hypot(ax - bx, ay - by)
+    def legs(self, route: Sequence[int]) -> List[Tuple[int, int, float]]:
+        """Every hop of `route` as (sender, receiver, distance in metres)."""
+        nodes, hypot = self.nodes, math.hypot
+        legs = []
+        a = route[0]
+        ax, ay = nodes[a].pos
+        for b in route[1:]:
+            bx, by = nodes[b].pos
+            legs.append((a, b, hypot(ax - bx, ay - by)))
+            a, ax, ay = b, bx, by
+        return legs
 
     def extent(self) -> Tuple[float, float]:
         return (max(n.pos[0] for n in self.nodes),

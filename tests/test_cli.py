@@ -1,10 +1,15 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from iirsim.cli import main
 from iirsim.metrics import from_json
 from iirsim.pipeline import load_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LINE_FIXTURE = """\
 # sensor -> aggregator -> sub-sink -> sink, 10 m apart
@@ -101,9 +106,10 @@ class TestRun:
         (("out", None), "0\n" * 5, "FileNotFoundError"),
         (("scenario", b"\xff\xfe"), "0\n" * 5, "InvalidScenario"),
         (("model", b"\xff\xfe"), "0\n" * 5, "InvalidValue"),
+        (("scenario", b"e_elec = nan\n"), "0\n" * 5, "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
-            "non_utf8_model"])
+            "non_utf8_model", "nan_radio_constant"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"
@@ -123,6 +129,16 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+    def test_python_dash_m(self, scenario, tmp_path):
+        out = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iirsim", "run", "--scenario", scenario(""),
+             "--rounds", "1", "--format", "json", "--quiet", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert from_json(out.read_text()).rounds_completed == 1
 
 class TestCompare:
     def test_permissive_delivered_ratio_one(self, scenario, tmp_path, capsys):

@@ -75,6 +75,12 @@ class TestValidate:
         with pytest.raises(InvalidScenario):
             ScenarioConfig(quorum_q=1.5).validate()
 
+    @pytest.mark.parametrize("key", ["e_elec", "e_amp"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_radio_constants_must_be_finite(self, key, value):
+        with pytest.raises(InvalidScenario):
+            parse_scenario(f"{key} = {value}\n").validate()
+
 
 class TestPipelineConfig:
     def test_defaults_agree(self):

@@ -222,6 +222,32 @@ class TestHopTotals:
         # remaining() only fills per_node_energy_remaining_j at the end
         assert calls["remaining"] == len(r.per_node_energy_remaining_j)
 
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_one_ledger_call_per_packet(self, monkeypatch, mode):
+        calls = {"send_along": 0, "packets": 0, "legs": 0, "carry": 0,
+                 "debit": 0}
+        send_along = dissemination.send_along
+
+        def counted_send(route, readings, *args, batch_cap, **kwargs):
+            calls["send_along"] += 1
+            if len(route) > 1:
+                calls["packets"] += math.ceil(len(readings) / batch_cap)
+            return send_along(route, readings, *args, batch_cap=batch_cap,
+                              **kwargs)
+        monkeypatch.setattr(dissemination, "send_along", counted_send)
+        for owner, name in ((topology.Topology, "legs"),
+                            (EnergyLedger, "carry"), (EnergyLedger, "debit")):
+            def counted(*args, _name=name, _fn=getattr(owner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        engine.run(draining(mode))
+        # hop geometry once per call, billing once per packet, never per hop
+        assert calls["packets"] > 0
+        assert calls["legs"] == calls["send_along"]
+        assert calls["carry"] == calls["packets"]
+        assert calls["debit"] == 0
+
 
 class TestTrainingCollection:
     def test_examples_have_labels_from_ground_truth(self):
