@@ -19,7 +19,6 @@ from .errors import StaleReading
 class RoundSnapshot:
     round: int
     readings: Tuple[SensorReading, ...]
-    redundancy_removed: int = 0
 
 
 def collect_round(incoming: Sequence[SensorReading], round_no: int) -> RoundSnapshot:
@@ -41,20 +40,16 @@ def deduplicate(s: RoundSnapshot, eps: float,
     last_forwarded = last_forwarded or {}
     seen = set()
     retained = []
-    removed = 0
     for r in s.readings:
         ident = (r.source, r.round, r.value)
         if ident in seen:
-            removed += 1
             continue
         seen.add(ident)
         last = last_forwarded.get(r.source)
         if last is not None and abs(r.value - last) <= eps:
-            removed += 1
             continue
         retained.append(r)
-    return RoundSnapshot(round=s.round, readings=tuple(retained),
-                         redundancy_removed=s.redundancy_removed + removed)
+    return RoundSnapshot(round=s.round, readings=tuple(retained))
 
 
 def committed_values(s: RoundSnapshot) -> Dict[int, float]:

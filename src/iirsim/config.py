@@ -69,6 +69,9 @@ class ScenarioConfig:
         return RadioParams(e_elec=self.e_elec, e_amp=self.e_amp)
 
     def validate(self) -> None:
+        for key, parse in _PARSERS.items():
+            if parse is float and not math.isfinite(getattr(self, key)):
+                raise InvalidScenario(f"{key} must be finite")
         if self.node_count < 2:
             raise InvalidScenario("node_count must be at least 2")
         if self.rounds < 0:
@@ -83,8 +86,8 @@ class ScenarioConfig:
             raise InvalidScenario("grid_spacing must be positive")
         if self.initial_energy_j <= 0:
             raise InvalidScenario("initial_energy_j must be positive")
-        if not (0 < self.e_elec < math.inf and 0 < self.e_amp < math.inf):
-            raise InvalidScenario("radio constants must be positive and finite")
+        if not (self.e_elec > 0 and self.e_amp > 0):
+            raise InvalidScenario("radio constants must be positive")
         if not self.band_lo < self.band_hi:
             raise InvalidScenario("band_lo must be below band_hi")
         if not (self.range_lo <= self.band_lo and self.band_hi <= self.range_hi):
@@ -95,6 +98,8 @@ class ScenarioConfig:
                 raise InvalidScenario(f"{key} must be non-negative")
         if not 0 <= self.quorum_q <= 1:
             raise InvalidScenario("quorum_q must be in [0, 1]")
+        if self.aggregator_every < 0:
+            raise InvalidScenario("aggregator_every must be non-negative")
         if self.window_w < 1:
             raise InvalidScenario("window_w must be positive")
         if self.batch_cap < 1:
@@ -156,8 +161,8 @@ _PARSERS = {
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse the line-based `key = value` scenario format.
 
-    `#` starts a comment; unknown keys are rejected; missing keys take the
-    dataclass defaults.
+    `#` starts a comment; unknown and repeated keys are rejected; missing
+    keys take the dataclass defaults.
     """
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -171,6 +176,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = raw.strip()
         if key not in _PARSERS:
             raise UnknownKey(f"line {lineno}: unknown key '{key}'")
+        if key in values:
+            raise InvalidValue(f"line {lineno}: key '{key}' is set twice")
         try:
             values[key] = _PARSERS[key](raw)
         except ValueError:

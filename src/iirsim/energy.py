@@ -82,6 +82,8 @@ class EnergyLedger:
         t = consumed + y
         self._comp[node] = (t - consumed) - y
         self._consumed[node] = t
+        if not t < init:  # rounding emptied the battery
+            self._record_death(node, round_no)
         return amount
 
     def carry(self, legs: Sequence[Tuple[int, int, float]], bits: int,
@@ -121,7 +123,6 @@ class EnergyLedger:
                 remaining = init - c
                 if tx >= remaining:
                     consumed[a], comp[a] = init, 0.0
-                    self._record_death(a, round_no)
                     tx_billed = remaining
                 else:
                     y = tx - comp[a]
@@ -137,7 +138,6 @@ class EnergyLedger:
                 remaining = init - c
                 if rx >= remaining:
                     consumed[b], comp[b] = init, 0.0
-                    self._record_death(b, round_no)
                     rx_billed = remaining
                 else:
                     y = rx - comp[b]
@@ -146,14 +146,17 @@ class EnergyLedger:
                     consumed[b] = t
                     rx_billed = rx
             billed.append((tx_billed, rx_billed))
-            # A node that overdraws finishes this one hop, then drops out;
-            # the packet's remaining hops are cancelled.
+            # A node whose battery this hop emptied, by overdraw or by
+            # rounding, finishes the hop, then drops out; the packet's
+            # remaining hops are cancelled.
             died = False
             if not consumed[a] < initial[a]:
                 killed.append(a)
+                self._record_death(a, round_no)
                 died = True
             if not consumed[b] < initial[b]:
                 killed.append(b)
+                self._record_death(b, round_no)
                 died = True
             if died and b != last:
                 return billed, False, killed
@@ -163,7 +166,3 @@ class EnergyLedger:
         self.death_rounds[node] = round_no
         if self.first_death_round is None:
             self.first_death_round = round_no
-
-    def total_consumed(self) -> float:
-        return math.fsum(self._initial[n] - self.remaining(n)
-                         for n in self.finite_nodes())

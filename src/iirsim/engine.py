@@ -1,12 +1,18 @@
 """Round-synchronous simulation loop for both network modes.
 
-Every round runs, in order: sensing by alive sensors, sensor-to-aggregator
-transfer, per-aggregator dedup, aggregator-to-sub-sink transfer, the
-staircase filter at the sub-sink, and sub-sink-to-sink transfer of the
-survivors. Baseline mode replaces the middle stages with forward-everything
-direct to the sink. All randomness comes from purpose-salted streams
-derived from the scenario seed, consumed in node-id order, so a (scenario,
-seed) pair always reproduces the same run bit for bit.
+A framework round senses at every alive sensor, then moves the readings over
+three legs: each reading alone from its sensor to its nearest aggregator,
+each aggregator's deduplicated readings to the sub-sink, and the survivors
+of the staircase filter at the sub-sink on to the sink. Baseline mode is
+leg 1 aimed at the sink, with no filter. A delivered reading's hop count is
+the hops over every leg it rode.
+
+Routes are fixed within a round. Routes and the sink's reachability are
+recomputed in the first round after the alive set shrinks; a round that
+starts with no alive sensor able to reach the sink is the network death
+round. All randomness comes from purpose-salted streams derived from the
+scenario seed, consumed in node-id order, so a (scenario, seed) pair always
+reproduces the same run bit for bit.
 """
 from __future__ import annotations
 
@@ -37,16 +43,22 @@ class _Event:
 
 
 class GroundTruth:
-    """Injected field events; visible to labeling and metrics only."""
+    """Injected field events; visible to labeling and metrics only.
+
+    `magnitude` holds the current round only: each sensor inside at least
+    one active event, mapped to the summed magnitude of those events.
+    """
 
     def __init__(self, scenario: ScenarioConfig, topo: topo_mod.Topology):
         self._sc = scenario
-        self._topo = topo
         self._extent = topo.extent()
+        self._sensors = [(n.id, n.pos) for n in topo.nodes
+                         if n.role is topo_mod.NodeRole.SENSOR]
         self._active: List[_Event] = []
-        self._affected_by_round: Dict[int, frozenset] = {}
+        self.magnitude: Dict[int, float] = {}
 
     def advance(self, round_no: int, rng: random.Random) -> None:
+        """Move the events on to round `round_no` and rebuild `magnitude`."""
         self._active = [e for e in self._active if e.remaining > 0]
         # one draw per round regardless of rate, to keep streams aligned
         spawn = rng.random() < self._sc.event_rate
@@ -55,31 +67,15 @@ class GroundTruth:
             y = rng.uniform(0.0, max(self._extent[1], 1.0))
             self._active.append(_Event(x, y, self._sc.event_magnitude,
                                        self._sc.event_duration))
-        affected = set()
-        for node in self._topo.nodes:
-            if node.role is not topo_mod.NodeRole.SENSOR:
-                continue
-            px, py = node.pos
-            for e in self._active:
-                if math.hypot(px - e.x, py - e.y) <= self._sc.event_radius:
-                    affected.add(node.id)
-                    break
-        self._affected_by_round[round_no] = frozenset(affected)
+        radius = self._sc.event_radius
+        self.magnitude = {}
+        for node, (px, py) in self._sensors:
+            inside = [e.magnitude for e in self._active
+                      if math.hypot(px - e.x, py - e.y) <= radius]
+            if inside:
+                self.magnitude[node] = sum(inside)
         for e in self._active:
             e.remaining -= 1
-
-    def magnitude_at(self, node: int, round_no: int) -> float:
-        if node not in self._affected_by_round.get(round_no, ()):
-            return 0.0
-        px, py = self._topo.nodes[node].pos
-        return sum(e.magnitude for e in self._active
-                   if math.hypot(px - e.x, py - e.y) <= self._sc.event_radius)
-
-    def is_event_reading(self, source: int, round_no: int) -> bool:
-        return source in self._affected_by_round.get(round_no, ())
-
-    def affected(self, round_no: int) -> frozenset:
-        return self._affected_by_round.get(round_no, frozenset())
 
 
 def sense(node: int, round_no: int, scenario: ScenarioConfig,
@@ -89,7 +85,7 @@ def sense(node: int, round_no: int, scenario: ScenarioConfig,
         2.0 * math.pi * round_no / scenario.drift_period)
     noise = rng.gauss(0.0, scenario.noise_sigma)
     value = (scenario.field_base + drift + noise
-             + ground_truth.magnitude_at(node, round_no))
+             + ground_truth.magnitude.get(node, 0.0))
     return SensorReading(source=node, round=round_no, value=value)
 
 
@@ -109,6 +105,7 @@ class _Run:
         self.model = model
         self.topo = topo_mod.build_topology(scenario, scenario.seed)
         topo_mod.recompute_routes(self.topo, scenario.mode)
+        self.sensors = sorted(self.topo.sensors())
         self.radio = scenario.radio()
         self.cfg = scenario.pipeline_config()
         self.ledger = EnergyLedger({
@@ -126,68 +123,64 @@ class _Run:
             [] if keep_delivered else None)
         self.training: Optional[List[Tuple[Tuple[float, ...], str]]] = (
             [] if collect_training else None)
-        self._deaths_seen = 0
-        self._routes_dirty = False
 
-    # -- helpers -----------------------------------------------------------
+    def _send(self, owner, readings, round_no):
+        """Send `readings` along `owner`'s route; returns those that arrive.
 
-    def _send(self, route, readings, round_no):
+        Readings are lost when `owner` has no route or when a node on the
+        route dies before they arrive.
+        """
+        route = self.topo.routes.get(owner)
+        if route is None:
+            self.report.readings_lost_in_transit += len(readings)
+            return []
         _, delivered, lost = dissemination.send_along(
             route, readings, self.topo, self.radio, self.ledger, self.report,
             batch_cap=self.sc.batch_cap, round_no=round_no)
         self.report.readings_lost_in_transit += lost
-        hops = len(route) - 1
-        return delivered, hops
+        return delivered
 
-    def _deliver_to_sink(self, readings, hops_by_key, leg_hops, round_no):
+    def _deliver(self, readings):
+        """Count readings that reached the sink, with the hops they rode.
+
+        Routes are fixed within a round, so a reading rode its sensor's
+        route, then, in framework mode, its aggregator's and the sub-sink's.
+        """
+        routes, rep, sub = self.topo.routes, self.report, self.topo.sub_sink
         for r in readings:
-            self.report.readings_delivered_to_sink += 1
-            self.report.delivered_hops_total += hops_by_key.get(r.key(), 0) + leg_hops
-            if self.gt.is_event_reading(r.source, round_no):
-                self.report.event_readings_delivered += 1
+            route = routes[r.source]
+            hops = len(route) - 1
+            if self.sc.mode == "framework":
+                hops += len(routes[route[-1]]) - 1 + len(routes[sub]) - 1
+            rep.readings_delivered_to_sink += 1
+            rep.delivered_hops_total += hops
+            if r.source in self.gt.magnitude:
+                rep.event_readings_delivered += 1
             if self.delivered_all is not None:
                 self.delivered_all.append(r)
 
-    # -- round body --------------------------------------------------------
-
-    def _sense_round(self, round_no):
+    def _round(self, round_no):
+        rep = self.report
         self.gt.advance(round_no, self.event_rng)
-        readings = []
-        for n in sorted(self.topo.sensors()):
-            if n not in self.topo.alive:
-                continue
-            r = sense(n, round_no, self.sc, self.gt, self.sense_rng)
-            readings.append(r)
-            self.report.readings_generated += 1
-            if self.gt.is_event_reading(n, round_no):
-                self.report.event_readings_generated += 1
-        return readings
+        events = self.gt.magnitude
+        readings = [sense(n, round_no, self.sc, self.gt, self.sense_rng)
+                    for n in self.sensors if n in self.topo.alive]
+        rep.readings_generated += len(readings)
+        rep.event_readings_generated += sum(r.source in events for r in readings)
 
-    def _baseline_round(self, round_no, readings):
+        # leg 1: each reading alone, from its sensor to the end of its route
+        baseline = self.sc.mode == "baseline"
+        routes = self.topo.routes
+        ends = (self.topo.sink,) if baseline else self.topo.aggregators
+        arrived: Dict[int, List[SensorReading]] = {a: [] for a in ends}
         for r in readings:
-            route = self.topo.routes.get(r.source)
-            if route is None:
-                self.report.readings_lost_in_transit += 1
-                continue
-            delivered, hops = self._send(route, [r], round_no)
-            self._deliver_to_sink(delivered, {}, hops, round_no)
+            for d in self._send(r.source, [r], round_no):
+                arrived[routes[r.source][-1]].append(d)
+        if baseline:
+            self._deliver(arrived[self.topo.sink])
+            return
 
-    def _framework_round(self, round_no, readings):
-        hops_by_key: Dict[Tuple[int, int], int] = {}
-
-        # sensors -> aggregators
-        arrived: Dict[int, List[SensorReading]] = {a: [] for a in self.topo.aggregators}
-        for r in readings:
-            route = self.topo.routes.get(r.source)
-            if route is None:
-                self.report.readings_lost_in_transit += 1
-                continue
-            delivered, hops = self._send(route, [r], round_no)
-            for d in delivered:
-                hops_by_key[d.key()] = hops
-                arrived[route[-1]].append(d)
-
-        # dedup per aggregator, then aggregators -> sub-sink
+        # dedup per aggregator, then leg 2: aggregators -> sub-sink
         round_context: List[SensorReading] = []
         at_sub_sink: List[SensorReading] = []
         for a in self.topo.aggregators:
@@ -196,66 +189,44 @@ class _Run:
                 snap = aggregation.deduplicate(snap, self.sc.dedup_eps,
                                                self.dedup_state[a])
                 self.dedup_state[a].update(aggregation.committed_values(snap))
-            self.report.readings_after_dedup += len(snap.readings)
+            rep.readings_after_dedup += len(snap.readings)
             round_context.extend(snap.readings)
-            if not snap.readings or a not in self.topo.alive:
-                continue
-            route = self.topo.routes.get(a)
-            if route is None:
-                self.report.readings_lost_in_transit += len(snap.readings)
-                continue
-            delivered, hops = self._send(route, list(snap.readings), round_no)
-            for d in delivered:
-                hops_by_key[d.key()] = hops_by_key.get(d.key(), 0) + hops
-            at_sub_sink.extend(delivered)
+            # an aggregator that died receiving its readings forwards none
+            # and counts none lost
+            if snap.readings and a in self.topo.alive:
+                at_sub_sink.extend(self._send(a, snap.readings, round_no))
 
         # staircase filter at the sub-sink
         snap = aggregation.RoundSnapshot(round=round_no,
                                          readings=tuple(canonical_order(at_sub_sink)))
         kept, trace = pipeline.run_pipeline(snap, round_context, self.topo,
                                             self.history, self.cfg, self.model)
-        metrics.record(self.report, trace)
+        metrics.record(rep, trace)
         if self.training is not None:
-            affected = self.gt.affected(round_no)
             for r in trace.sentiment_input:
-                label = (pipeline.LABEL_FORWARD if r.source in affected
+                label = (pipeline.LABEL_FORWARD if r.source in events
                          else pipeline.LABEL_DISCARD)
                 self.training.append((pipeline.features(r, self.cfg), label))
 
-        # survivors -> sink
-        sub = self.topo.sub_sink
-        if kept and sub in self.topo.alive:
-            route = self.topo.routes.get(sub)
-            if route is None:
-                self.report.readings_lost_in_transit += len(kept)
-            else:
-                delivered, hops = self._send(route, kept, round_no)
-                self._deliver_to_sink(delivered, hops_by_key, hops, round_no)
-        elif kept:
-            self.report.readings_lost_in_transit += len(kept)
+        # leg 3: survivors -> sink
+        if kept:
+            self._deliver(self._send(self.topo.sub_sink, kept, round_no))
 
     def execute(self) -> RunResult:
-        # Reachability depends only on the alive set, which only shrinks.
-        alive_count, reachable = None, False
+        # Routes and reachability depend only on the alive set, which only
+        # shrinks: both are refreshed in the first round after it does.
+        routed, reachable = len(self.topo.alive), None
         for round_no in range(self.sc.rounds):
-            if self._routes_dirty:
+            if len(self.topo.alive) != routed:
                 topo_mod.recompute_routes(self.topo, self.sc.mode)
-                self._routes_dirty = False
-            if len(self.topo.alive) != alive_count:
-                alive_count = len(self.topo.alive)
+                routed, reachable = len(self.topo.alive), None
+            if reachable is None:
                 reachable = topo_mod.sink_reachable(self.topo)
             if not reachable:
                 self.report.network_death_round = round_no
                 break
-            readings = self._sense_round(round_no)
-            if self.sc.mode == "baseline":
-                self._baseline_round(round_no, readings)
-            else:
-                self._framework_round(round_no, readings)
+            self._round(round_no)
             self.report.rounds_completed = round_no + 1
-            if len(self.ledger.death_rounds) > self._deaths_seen:
-                self._deaths_seen = len(self.ledger.death_rounds)
-                self._routes_dirty = True
 
         rep = self.report
         rep.first_node_death_round = self.ledger.first_death_round

@@ -8,6 +8,7 @@ stage that dropped it and never reappears.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -252,10 +253,13 @@ def load_model(path: str) -> ClassifierModel:
         if not line.strip():
             continue
         try:
-            weights.append(float(line))
+            weight = float(line)
         except ValueError:
+            weight = math.nan  # rejected below with the non-finite weights
+        if not math.isfinite(weight):
             raise InvalidValue(f"model file line {lineno}: invalid "
-                               f"weight {line.strip()!r}") from None
+                               f"weight {line.strip()!r}")
+        weights.append(weight)
     if len(weights) != N_FEATURES:
         raise InvalidValue(f"model file has {len(weights)} weights, "
                            f"expected {N_FEATURES}")

@@ -56,13 +56,12 @@ class TestDeduplicate:
         snap = collect_round([reading(0, 0, 1.0), reading(1, 0, 2.0)], 0)
         out = deduplicate(snap, 0.0)
         assert out.readings == snap.readings
-        assert out.redundancy_removed == 0
+        assert len(snap.readings) - len(out.readings) == 0
 
     def test_exact_duplicate_collapses(self):
         snap = collect_round([reading(0, 0, 1.5), reading(0, 0, 1.5)], 0)
         out = deduplicate(snap, 0.0)
-        assert len(out.readings) == 1
-        assert out.redundancy_removed == 1
+        assert len(snap.readings) - len(out.readings) == 1
 
     def test_temporal_suppression_uses_last_forwarded(self):
         snap = collect_round([reading(0, 1, 1.05), reading(1, 1, 5.0)], 1)
@@ -77,7 +76,6 @@ class TestDeduplicate:
             out = deduplicate(snap, eps, state)
             expected = dedup_oracle(snap.readings, eps, state)
             assert list(out.readings) == expected
-            assert out.redundancy_removed == len(snap.readings) - len(expected)
 
     def test_idempotent_within_round(self):
         rng = random.Random(101)

@@ -107,9 +107,25 @@ class TestRun:
         (("scenario", b"\xff\xfe"), "0\n" * 5, "InvalidScenario"),
         (("model", b"\xff\xfe"), "0\n" * 5, "InvalidValue"),
         (("scenario", b"e_elec = nan\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"theta_p = nan\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"event_rate = nan\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"dedup_eps = nan\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"initial_energy_j = inf\n"), "0\n" * 5,
+         "InvalidScenario"),
+        (("scenario", b"initial_energy_j = nan\n"), "0\n" * 5,
+         "InvalidScenario"),
+        (("scenario", b"rounds = 3\nrounds = 4\n"), "0\n" * 5,
+         "InvalidValue"),
+        (("scenario", b"mode = baseline\naggregator_every = -3\n"),
+         "0\n" * 5, "InvalidScenario"),
+        (None, "0\nnan\n0\n0\n0\n", "InvalidValue"),
+        (None, "0\n0\n-inf\n0\n0\n", "InvalidValue"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
-            "non_utf8_model", "nan_radio_constant"])
+            "non_utf8_model", "nan_radio_constant", "nan_theta_p",
+            "nan_event_rate", "nan_dedup_eps", "inf_initial_energy",
+            "nan_initial_energy", "repeated_key", "negative_aggregator_every",
+            "nan_weight", "inf_weight"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"
@@ -176,7 +192,8 @@ class TestTrain:
     def test_zero_events_one_class(self, scenario, tmp_path, capsys):
         # events off: every candidate is labeled discard; the zero-weight
         # perceptron already classifies them all correctly
-        text = SMALL_GRID + "event_rate = 0\nrounds = 40\ntheta_p = 0\n"
+        text = (SMALL_GRID.replace("rounds = 15", "rounds = 40")
+                + "event_rate = 0\ntheta_p = 0\n")
         out = str(tmp_path / "model.txt")
         code = main(["train", "--scenario", scenario(text), "--out", out])
         assert code == 0
@@ -185,7 +202,8 @@ class TestTrain:
         assert model.weights == (0.0,) * 5
 
     def test_model_round_trip_through_run(self, scenario, tmp_path):
-        text = SMALL_GRID + "event_rate = 0.4\nrounds = 60\n"
+        text = (SMALL_GRID.replace("rounds = 15", "rounds = 60")
+                + "event_rate = 0.4\n")
         model_path = str(tmp_path / "model.txt")
         assert main(["train", "--scenario", scenario(text), "--quiet",
                      "--out", model_path]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from iirsim.config import ScenarioConfig, parse_scenario
@@ -45,6 +47,10 @@ class TestParse:
         sc = parse_scenario("aggregator_ids = 3, 5, 9\n")
         assert sc.aggregator_ids == (3, 5, 9)
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(InvalidValue, match="line 3.*rounds"):
+            parse_scenario("rounds = 3\nseed = 2\nrounds = 4\n")
+
     def test_bool_keys(self):
         assert parse_scenario("dedup_enabled = false\n").dedup_enabled is False
         with pytest.raises(InvalidValue):
@@ -74,6 +80,20 @@ class TestValidate:
     def test_quorum_bounds(self):
         with pytest.raises(InvalidScenario):
             ScenarioConfig(quorum_q=1.5).validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_every_float_key_must_be_finite(self, value):
+        keys = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type == "float"]
+        assert {"theta_p", "initial_energy_j"} <= set(keys)
+        for key in keys:
+            with pytest.raises(InvalidScenario, match=f"^{key} must be finite"):
+                parse_scenario(f"{key} = {value}\n").validate()
+
+    def test_negative_aggregator_every(self):
+        with pytest.raises(InvalidScenario, match="aggregator_every"):
+            ScenarioConfig(aggregator_every=-3).validate()
+        ScenarioConfig(aggregator_every=0).validate()
 
     @pytest.mark.parametrize("key", ["e_elec", "e_amp"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

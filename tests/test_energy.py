@@ -40,8 +40,8 @@ class TestLedger:
         applied = []
         for i in range(1000):
             applied.append(ledger.debit(i % 2, 1e-4, round_no=i))
-        assert ledger.total_consumed() == pytest.approx(math.fsum(applied),
-                                                        rel=1e-12)
+        drained = math.fsum(1.0 - ledger.remaining(n) for n in (0, 1))
+        assert drained == pytest.approx(math.fsum(applied), rel=1e-12)
 
     def test_infinite_node_never_billed(self):
         ledger = EnergyLedger({0: math.inf})
@@ -83,6 +83,16 @@ class TestLedger:
         assert ledger.remaining(0) == 0.0 and not ledger.alive(0)
         assert ledger.death_rounds == {0: 4}
         assert ledger.first_death_round == 4
+
+    def test_rounding_to_empty_records_the_death(self):
+        ledger = EnergyLedger({0: 1.0})
+        ledger.debit(0, 0.75, round_no=2)
+        charge = 0.25 - 2.0 ** -55  # below the balance, but 0.75 + charge == 1.0
+        assert ledger.debit(0, charge, round_no=3) == charge
+        assert_alive_agrees(ledger)
+        assert ledger.remaining(0) == 0.0 and not ledger.alive(0)
+        assert ledger.death_rounds == {0: 3}
+        assert ledger.first_death_round == 3
 
     def test_remaining_within_bounds(self):
         # besides a 1 J battery: an infinite one (the sink), an empty one,
@@ -191,6 +201,20 @@ class TestCarry:
         assert arrived and killed == [2] and len(billed) == 2
         assert billed[1][1] == self.RX / 3
         assert ledger.death_rounds == {2: 5}
+
+    def test_rounding_to_empty_kills_the_relay(self):
+        # node 1 receives, then sends a charge below its balance that the
+        # Kahan sum rounds up to exactly its battery
+        tx = tx_cost(RADIO, self.BITS, 1.0)
+        battery = self.RX + tx
+        assert tx < battery - self.RX
+        (billed, arrived, killed), ledger = carry_both(
+            {0: 1.0, 1: battery, 2: math.inf}, chain([0, 1, 2], metres=1.0),
+            self.BITS)
+        assert arrived and killed == [1]
+        assert billed[1][0] == tx  # the charge, not the balance
+        assert ledger.remaining(1) == 0.0
+        assert ledger.death_rounds == {1: 5}
 
     def test_seeded_random_routes_equal_hop_by_hop(self):
         rng = random.Random(20151)
