@@ -100,6 +100,8 @@ class ScenarioConfig:
             raise InvalidScenario("quorum_q must be in [0, 1]")
         if self.aggregator_every < 0:
             raise InvalidScenario("aggregator_every must be non-negative")
+        if len(set(self.aggregator_ids)) != len(self.aggregator_ids):
+            raise InvalidScenario("aggregator_ids must not repeat an id")
         if self.window_w < 1:
             raise InvalidScenario("window_w must be positive")
         if self.batch_cap < 1:

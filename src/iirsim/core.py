@@ -4,9 +4,9 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 HEADER_BITS = 64
 READING_BITS = 64
@@ -29,22 +29,18 @@ class NodeRole(str, Enum):
 
 
 @dataclass(frozen=True)
-class StageAnnotation:
-    """Scores and verdicts accumulated as a reading moves through the filter."""
-
-    priority_score: float = 0.0
-    opinion_deviation: float = 0.0
-    consensus_ratio: float = 0.0
-    class_label: Optional[str] = None
-    drop_stage: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class SensorReading:
     source: int
     round: int
     value: float
-    annotations: StageAnnotation = field(default_factory=StageAnnotation)
+    # Staircase scores; each stays 0.0 until its stage keeps the reading.
+    # Distance outside the nominal band, in band widths (priority).
+    priority_score: float = 0.0
+    # |value - mean of the source's recent forwarded values|; the band
+    # width for a source with no history (opinion).
+    opinion_deviation: float = 0.0
+    # Share of neighbour readings within tau_r of the value (review).
+    consensus_ratio: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.value):

@@ -232,13 +232,6 @@ class _Run:
         rep.first_node_death_round = self.ledger.first_death_round
         rep.per_node_energy_remaining_j = {
             n: self.ledger.remaining(n) for n in self.ledger.finite_nodes()}
-        if self.sc.mode == "baseline":
-            # no in-network filtering: pass-through counts keep the
-            # telescoping invariant comparable across modes
-            for f in ("readings_after_dedup", "readings_after_priority",
-                      "readings_after_opinion", "readings_after_review",
-                      "readings_after_sentiment"):
-                setattr(rep, f, rep.readings_generated)
         metrics.finalize(rep)
         return RunResult(report=rep, delivered=self.delivered_all,
                          training_examples=self.training)

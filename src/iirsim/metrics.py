@@ -90,7 +90,15 @@ def record(report: MetricsReport, item: StageTrace) -> MetricsReport:
 
 
 def finalize(report: MetricsReport) -> MetricsReport:
-    """Compute derived ratios; impossible divisions stay undefined (None)."""
+    """Compute derived ratios; impossible divisions stay undefined (None).
+
+    Baseline does no in-network filtering: every dedup and stage count is
+    the generated count, which keeps the telescoping invariant comparable
+    across modes.
+    """
+    if report.mode == "baseline":
+        for f in ("readings_after_dedup", *_STAGE_FIELD.values()):
+            setattr(report, f, report.readings_generated)
     g = report.readings_generated
     d = report.readings_delivered_to_sink
     report.selectivity = d / g if g > 0 else None

@@ -3,8 +3,10 @@
 Stage order is fixed: priority (out-of-band severity) -> opinion
 (plausibility + informativeness vs per-source history) -> review (neighbor
 consensus) -> sentiment (symbolic rescue rule + linear classifier). Each
-stage only ever shrinks its input; a dropped reading is annotated with the
-stage that dropped it and never reappears.
+stage returns (kept, dropped) and only ever shrinks its input: a kept reading
+is a new reading carrying the stage's score, a dropped one is the input
+reading itself and never reappears. `run_pipeline` records each drop once,
+with its stage, in `StageTrace.drops`.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
-                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading,
-                   StageAnnotation, _atomic_write)
+                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
 from .errors import EmptyTrainingSet, InvalidValue
 from .topology import Topology, neighbors_in_round
 
@@ -65,26 +66,9 @@ HistoryIndex = Dict[int, Deque[float]]
 
 
 def features(r: SensorReading, cfg: PipelineConfig) -> Tuple[float, ...]:
-    a = r.annotations
     w = cfg.band_width
-    return (a.priority_score, a.opinion_deviation / w, a.consensus_ratio,
+    return (r.priority_score, r.opinion_deviation / w, r.consensus_ratio,
             (r.value - cfg.band_lo) / w, 1.0)
-
-
-def _annotate(r: SensorReading, drop_stage: Optional[str] = None, *,
-              priority_score: Optional[float] = None,
-              opinion_deviation: Optional[float] = None,
-              consensus_ratio: Optional[float] = None,
-              class_label: Optional[str] = None) -> SensorReading:
-    """`r` with the given annotation scores and, when it is dropped, the
-    stage that dropped it; built in one step, other annotations kept."""
-    a = r.annotations
-    return SensorReading(r.source, r.round, r.value, StageAnnotation(
-        a.priority_score if priority_score is None else priority_score,
-        a.opinion_deviation if opinion_deviation is None else opinion_deviation,
-        a.consensus_ratio if consensus_ratio is None else consensus_ratio,
-        a.class_label if class_label is None else class_label,
-        a.drop_stage if drop_stage is None else drop_stage))
 
 
 def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
@@ -93,9 +77,10 @@ def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
     for r in readings:
         score = max(0.0, (r.value - cfg.band_hi) / w, (cfg.band_lo - r.value) / w)
         if score >= cfg.theta_p:
-            kept.append(_annotate(r, priority_score=score))
+            kept.append(SensorReading(r.source, r.round, r.value, score,
+                                      r.opinion_deviation, r.consensus_ratio))
         else:
-            dropped.append(_annotate(r, STAGE_PRIORITY, priority_score=score))
+            dropped.append(r)
     return kept, dropped
 
 
@@ -106,7 +91,7 @@ def opinion_analysis(readings: Sequence[SensorReading],
     for r in readings:
         if not cfg.range_lo <= r.value <= cfg.range_hi:
             # fails the fact check: physically implausible
-            dropped.append(_annotate(r, STAGE_OPINION))
+            dropped.append(r)
             continue
         hist = history_index.get(r.source)
         if hist:
@@ -117,10 +102,11 @@ def opinion_analysis(readings: Sequence[SensorReading],
             deviation = cfg.band_width  # cold start always passes
             ok = True
         if ok:
-            kept.append(_annotate(r, opinion_deviation=deviation))
+            kept.append(SensorReading(r.source, r.round, r.value,
+                                      r.priority_score, deviation,
+                                      r.consensus_ratio))
         else:
-            dropped.append(_annotate(r, STAGE_OPINION,
-                                     opinion_deviation=deviation))
+            dropped.append(r)
     return kept, dropped
 
 
@@ -139,9 +125,11 @@ def review_analysis(readings: Sequence[SensorReading],
         else:
             ratio = 1.0  # sparse region: nobody to contradict the reading
         if ratio >= cfg.quorum_q:
-            kept.append(_annotate(r, consensus_ratio=ratio))
+            kept.append(SensorReading(r.source, r.round, r.value,
+                                      r.priority_score, r.opinion_deviation,
+                                      ratio))
         else:
-            dropped.append(_annotate(r, STAGE_REVIEW, consensus_ratio=ratio))
+            dropped.append(r)
     return kept, dropped
 
 
@@ -184,17 +172,13 @@ def sentiment_classify(readings: Sequence[SensorReading],
                        model: Optional[ClassifierModel], cfg: PipelineConfig):
     kept, dropped = [], []
     for r in readings:
-        if r.annotations.priority_score >= cfg.rescue_score:
+        if r.priority_score >= cfg.rescue_score:
             forward = True  # symbolic rescue overrides the learner
         elif model is not None:
             forward = model.decide(features(r, cfg))
         else:
             forward = False
-        if forward:
-            kept.append(_annotate(r, class_label=LABEL_FORWARD))
-        else:
-            dropped.append(_annotate(r, STAGE_SENTIMENT,
-                                     class_label=LABEL_DISCARD))
+        (kept if forward else dropped).append(r)
     return kept, dropped
 
 
@@ -207,26 +191,18 @@ def run_pipeline(snapshot, round_context: Sequence[SensorReading],
     """
     trace = StageTrace()
     current = list(snapshot.readings)
-
-    kept, dropped = priority_analysis(current, cfg)
-    trace.counts.append((STAGE_PRIORITY, len(current), len(kept)))
-    trace.drops.extend((r.source, r.round, STAGE_PRIORITY) for r in dropped)
-    current = kept
-
-    kept, dropped = opinion_analysis(current, history_index, cfg)
-    trace.counts.append((STAGE_OPINION, len(current), len(kept)))
-    trace.drops.extend((r.source, r.round, STAGE_OPINION) for r in dropped)
-    current = kept
-
-    kept, dropped = review_analysis(current, round_context, topology, cfg)
-    trace.counts.append((STAGE_REVIEW, len(current), len(kept)))
-    trace.drops.extend((r.source, r.round, STAGE_REVIEW) for r in dropped)
-    current = kept
-    trace.sentiment_input = tuple(current)
-
-    kept, dropped = sentiment_classify(current, model, cfg)
-    trace.counts.append((STAGE_SENTIMENT, len(current), len(kept)))
-    trace.drops.extend((r.source, r.round, STAGE_SENTIMENT) for r in dropped)
+    # built per call, so a stage replaced on this module is the one that runs
+    for stage, apply, args in (
+            (STAGE_PRIORITY, priority_analysis, (cfg,)),
+            (STAGE_OPINION, opinion_analysis, (history_index, cfg)),
+            (STAGE_REVIEW, review_analysis, (round_context, topology, cfg)),
+            (STAGE_SENTIMENT, sentiment_classify, (model, cfg))):
+        if stage == STAGE_SENTIMENT:
+            trace.sentiment_input = tuple(current)
+        kept, dropped = apply(current, *args)
+        trace.counts.append((stage, len(current), len(kept)))
+        trace.drops.extend((r.source, r.round, stage) for r in dropped)
+        current = kept
 
     for r in kept:
         dq = history_index.get(r.source)

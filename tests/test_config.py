@@ -95,6 +95,11 @@ class TestValidate:
             ScenarioConfig(aggregator_every=-3).validate()
         ScenarioConfig(aggregator_every=0).validate()
 
+    def test_repeated_aggregator_id(self):
+        with pytest.raises(InvalidScenario, match="aggregator_ids"):
+            parse_scenario("aggregator_ids = 5, 7, 5\n").validate()
+        parse_scenario("aggregator_ids = 5, 7\n").validate()
+
     @pytest.mark.parametrize("key", ["e_elec", "e_amp"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_radio_constants_must_be_finite(self, key, value):

@@ -69,7 +69,7 @@ class TestReadingAndPacket:
         with pytest.raises(ValueError):
             make_packet(3, 3, [])
 
-    def test_annotations_default_empty(self):
+    def test_scores_default_zero(self):
         r = reading()
-        assert r.annotations.drop_stage is None
-        assert r.annotations.class_label is None
+        assert (r.priority_score, r.opinion_deviation,
+                r.consensus_ratio) == (0.0, 0.0, 0.0)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from iirsim import dissemination, engine, metrics, topology
+from iirsim import dissemination, engine, metrics, pipeline, topology
 from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.energy import EnergyLedger
 from iirsim.metrics import serialize
@@ -305,3 +305,36 @@ DRAINING_DIGESTS = {
 def test_draining_report_digest(mode):
     text = serialize(engine.run(draining(mode)).report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == DRAINING_DIGESTS[mode]
+
+
+def trained():
+    """The reference framework scenario with the priority gate open
+    (`theta_p = 0`) and the rescue rule limited to `priority_score >= 2`,
+    so that the classifier decides readings the rescue rule leaves to it.
+    """
+    return dataclasses.replace(reference("framework"), theta_p=0.0,
+                               rescue_score=2.0)
+
+
+# sha256 of `repr(collect_training_examples(trained()))` and of the JSON
+# report of `trained()` run with the model trained on those examples. Scores
+# reach the classifier only through `features`, so these pin the path from
+# each stage's score to its feature. Re-pinned like REFERENCE_DIGESTS.
+TRAINED_DIGESTS = {
+    "examples": "b7811bbbec571cab2ded77b524be6f6e0bcb43b5e8a50b7cca5822cea35b2cef",
+    "report": "0320b3705a79ce20c9fc775df77b5354f734c0cf95deb67cd1e628c863c17baa",
+}
+
+
+def test_trained_model_digests():
+    sc = trained()
+    examples = engine.collect_training_examples(sc)
+    model = pipeline.train_classifier(examples)
+    result = engine.run(sc, model=model, collect_training=True)
+    # the model both forwards and discards readings the rescue rule leaves
+    assert {model.decide(x) for x, _ in result.training_examples
+            if x[0] < sc.rescue_score} == {True, False}
+    text = serialize(result.report, "json")
+    assert {"examples": hashlib.sha256(repr(examples).encode()).hexdigest(),
+            "report": hashlib.sha256(text.encode()).hexdigest()} == \
+        TRAINED_DIGESTS

@@ -85,6 +85,14 @@ class TestFinalize:
         r = MetricsReport(readings_generated=10)
         assert finalize(r).false_forward_rate is None
 
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_baseline_passes_every_reading_through(self, mode):
+        r = finalize(MetricsReport(mode=mode, readings_generated=10))
+        counts = (r.readings_after_dedup, r.readings_after_priority,
+                  r.readings_after_opinion, r.readings_after_review,
+                  r.readings_after_sentiment)
+        assert counts == ((10,) * 5 if mode == "baseline" else (0,) * 5)
+
 
 class TestSerialize:
     def test_csv_header_and_zero_row(self):

@@ -6,7 +6,7 @@ import pytest
 
 from iirsim.aggregation import RoundSnapshot
 from iirsim.core import (LABEL_DISCARD, LABEL_FORWARD, STAGES, NodeRole,
-                         SensorReading, StageAnnotation, canonical_order)
+                         SensorReading, canonical_order)
 from iirsim.errors import EmptyTrainingSet
 from iirsim.pipeline import (ClassifierModel, PipelineConfig, features,
                              load_model, opinion_analysis, priority_analysis,
@@ -31,62 +31,63 @@ def clique_topology(n):
 
 class TestPriority:
     def test_in_band_scores_zero_and_drops(self):
-        kept, dropped = priority_analysis([reading(value=25.0)], CFG)
+        r = reading(value=25.0)
+        kept, dropped = priority_analysis([r], CFG)
         assert kept == []
-        assert dropped[0].annotations.priority_score == 0.0
-        assert dropped[0].annotations.drop_stage == "priority"
+        assert dropped == [r] and dropped[0] is r
 
     def test_above_band(self):
         kept, _ = priority_analysis([reading(value=35.0)], CFG)
-        assert kept[0].annotations.priority_score == pytest.approx(0.5)
+        assert kept[0].priority_score == pytest.approx(0.5)
 
     def test_boundary_inclusive_below_band(self):
         kept, _ = priority_analysis([reading(value=19.0)], CFG)
-        assert kept[0].annotations.priority_score == pytest.approx(0.1)
+        assert kept[0].priority_score == pytest.approx(0.1)
 
 
 class TestOpinion:
     def test_cold_start_kept(self):
         kept, _ = opinion_analysis([reading(value=35.0)], {}, CFG)
         assert len(kept) == 1
-        assert kept[0].annotations.opinion_deviation == CFG.band_width
+        assert kept[0].opinion_deviation == CFG.band_width
 
     def test_uninformative_repeat_dropped(self):
-        kept, dropped = opinion_analysis([reading(value=25.0)],
-                                         {0: [25.0]}, CFG)
+        r = reading(value=25.0)
+        kept, dropped = opinion_analysis([r], {0: [25.0]}, CFG)
         assert kept == []
-        assert dropped[0].annotations.opinion_deviation == 0.0
+        assert dropped == [r] and dropped[0] is r
 
     def test_deviation_from_history_mean(self):
         kept, _ = opinion_analysis([reading(value=28.0)], {0: [24.0, 26.0]}, CFG)
-        assert kept[0].annotations.opinion_deviation == pytest.approx(3.0)
+        assert kept[0].opinion_deviation == pytest.approx(3.0)
 
     def test_fact_check_out_of_range_dropped(self):
-        kept, dropped = opinion_analysis([reading(value=500.0)], {}, CFG)
+        r = reading(value=500.0)
+        kept, dropped = opinion_analysis([r], {}, CFG)
         assert kept == []
-        assert dropped[0].annotations.drop_stage == "opinion"
+        assert dropped == [r] and dropped[0] is r
 
 
 class TestReview:
     def test_no_neighbors_sparse_default(self):
         t = clique_topology(1)
         kept, _ = review_analysis([reading(source=0)], [], t, CFG)
-        assert kept[0].annotations.consensus_ratio == 1.0
+        assert kept[0].consensus_ratio == 1.0
 
     def test_all_peers_agree(self):
         t = clique_topology(5)
         context = [reading(source=i, value=25.5) for i in range(1, 5)]
         kept, _ = review_analysis([reading(source=0, value=25.0)], context, t, CFG)
-        assert kept[0].annotations.consensus_ratio == 1.0
+        assert kept[0].consensus_ratio == 1.0
 
     def test_quorum_failure(self):
         t = clique_topology(4)
         context = [reading(source=1, value=40.0), reading(source=2, value=40.0),
                    reading(source=3, value=40.0)]
-        kept, dropped = review_analysis([reading(source=0, value=25.0)],
-                                        context, t, CFG)
+        r = reading(source=0, value=25.0)
+        kept, dropped = review_analysis([r], context, t, CFG)
         assert kept == []
-        assert dropped[0].annotations.consensus_ratio == 0.0
+        assert dropped == [r] and dropped[0] is r
 
     def test_minority_agreement_meets_quorum(self):
         t = clique_topology(4)
@@ -94,7 +95,7 @@ class TestReview:
                    reading(source=3, value=40.0)]
         kept, _ = review_analysis([reading(source=0, value=25.0)],
                                   context, t, CFG)
-        assert kept[0].annotations.consensus_ratio == pytest.approx(1 / 3)
+        assert kept[0].consensus_ratio == pytest.approx(1 / 3)
 
 
 class TestPerceptron:
@@ -171,19 +172,19 @@ class TestPerceptron:
 class TestSentiment:
     def annotated(self, score, value=25.0):
         return SensorReading(source=0, round=0, value=value,
-                             annotations=StageAnnotation(priority_score=score))
+                             priority_score=score)
 
     def test_symbolic_rescue(self):
         r = self.annotated(2.0)
         model = ClassifierModel(weights=(-10.0, 0.0, 0.0, 0.0, -10.0))
         kept, _ = sentiment_classify([r], model, CFG)
-        assert kept and kept[0].annotations.class_label == LABEL_FORWARD
+        assert kept == [r]
 
     def test_zero_model_discards(self):
         r = self.annotated(0.5)
         kept, dropped = sentiment_classify([r], ClassifierModel((0.0,) * 5), CFG)
         assert kept == []
-        assert dropped[0].annotations.drop_stage == "sentiment"
+        assert dropped == [r] and dropped[0] is r
 
     def test_positive_dot_product_kept(self):
         r = self.annotated(0.5)
@@ -268,6 +269,29 @@ class TestRunPipeline:
             assert all(r.key() not in dropped_keys for r in kept
                        if key_count[r.key()] == 1)
             assert len(trace.drops) + len(kept) == len(snap.readings)
+
+    def test_survivors_carry_every_score(self):
+        t = clique_topology(3)
+        readings = (reading(source=0, value=35.0), reading(source=1, value=35.5),
+                    reading(source=2, value=50.0))
+        snap = RoundSnapshot(round=0, readings=readings)
+        _, trace = run_pipeline(snap, list(readings), t, {0: deque([31.0])},
+                                PipelineConfig(quorum_q=0.0))
+        r = trace.sentiment_input[0]
+        assert (r.source, r.priority_score, r.opinion_deviation,
+                r.consensus_ratio) == (0, pytest.approx(0.5),
+                                       pytest.approx(4.0), 0.5)
+
+    def test_each_drop_recorded_once_with_its_stage(self):
+        t = clique_topology(6)
+        values = (25.0, 500.0, 40.0, 32.0, 32.5, 33.0)
+        readings = tuple(reading(source=i, value=v) for i, v in enumerate(values))
+        snap = RoundSnapshot(round=0, readings=readings)
+        kept, trace = run_pipeline(snap, list(readings), t, {}, CFG)
+        assert kept == []
+        assert trace.drops == [(0, 0, "priority"), (1, 0, "opinion"),
+                               (2, 0, "review"), (3, 0, "sentiment"),
+                               (4, 0, "sentiment"), (5, 0, "sentiment")]
 
     def test_history_updated_with_forwarded_only(self):
         t = clique_topology(2)
