@@ -93,7 +93,7 @@ class ScenarioConfig:
         if not (self.range_lo <= self.band_lo and self.band_hi <= self.range_hi):
             raise InvalidScenario("nominal band must lie inside the physical range")
         for key in ("theta_p", "delta_o", "tau_r", "dedup_eps", "rescue_score",
-                    "noise_sigma", "event_rate", "event_radius"):
+                    "noise_sigma", "event_rate", "event_radius", "area_size"):
             if getattr(self, key) < 0:
                 raise InvalidScenario(f"{key} must be non-negative")
         if not 0 <= self.quorum_q <= 1:

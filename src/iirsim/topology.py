@@ -172,7 +172,7 @@ def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
                     alive=set(range(scenario.node_count)), sink=sink,
                     sub_sink=sub_sink, aggregators=aggregators)
 
-    reach = hop_distances(topo, sink)
+    reach, _ = hop_distances(topo, (sink,))
     for node in nodes:
         if node.role is NodeRole.SENSOR and node.id not in reach:
             raise DisconnectedTopology(
@@ -184,50 +184,58 @@ def neighbors_in_round(t: Topology, n: int) -> Set[int]:
     return {m for m in t.adjacency[n] if m in t.alive} - {n}
 
 
-def hop_distances(t: Topology, target: int) -> Dict[int, int]:
-    """BFS hop counts to `target` over the alive subgraph."""
-    if target not in t.alive:
-        return {}
-    dist = {target: 0}
-    frontier = [target]
+def hop_distances(t: Topology, sources: Sequence[int]
+                  ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """BFS over the alive subgraph from every alive node in `sources`.
+
+    Returns `(dist, next_hop)`: hops to the nearest source and, for every
+    other node, its lowest-id neighbour one hop nearer to its first
+    nearest source in `sources` order. Expanding each level in (source
+    index, id) order makes that neighbour the first to reach the node.
+    """
+    dist: Dict[int, int] = {}
+    next_hop: Dict[int, int] = {}
+    frontier = []
+    for i, s in enumerate(sources):
+        if s in t.alive and s not in dist:
+            dist[s] = 0
+            frontier.append((i, s))
     while frontier:
         nxt = []
-        for u in frontier:
+        for i, u in sorted(frontier):
+            d = dist[u] + 1
             for v in t.adjacency[u]:
                 if v in t.alive and v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
+                    dist[v] = d
+                    next_hop[v] = u
+                    nxt.append((i, v))
         frontier = nxt
-    return dist
+    return dist, next_hop
 
 
-def _walk(t: Topology, dist: Dict[int, int], src: int) -> List[int]:
-    """Downhill walk on a BFS distance field from `src` (which must be in
-    it) to the field's target, taking the lowest-id neighbour each step."""
+def _walk(next_hop: Dict[int, int], src: int) -> List[int]:
+    """Follow `next_hop` pointers from `src` to its BFS source."""
     path = [src]
-    cur = src
-    d = dist[src]
-    while d:
-        d -= 1
-        cur = min(v for v in t.adjacency[cur] if dist.get(v) == d)
-        path.append(cur)
+    while src in next_hop:
+        src = next_hop[src]
+        path.append(src)
     return path
 
 
 def shortest_hop_path(t: Topology, src: int, dst: int) -> List[int]:
     """Lexicographically-smallest minimum-hop path from src to dst.
 
-    Walks downhill on the BFS distance field from dst, always taking the
-    lowest-id neighbor, which makes equal-length path choice deterministic.
+    Each hop goes to the lowest-id alive neighbour one hop nearer to dst,
+    which makes equal-length path choice deterministic.
     """
     if src == dst:
         return [src]
     if src not in t.alive:
         raise NoRoute(f"node {src} is not alive")
-    dist = hop_distances(t, dst)
+    dist, next_hop = hop_distances(t, (dst,))
     if src not in dist:
         raise NoRoute(f"no path from {src} to {dst} over alive nodes")
-    return _walk(t, dist, src)
+    return _walk(next_hop, src)
 
 
 def recompute_routes(t: Topology, mode: str) -> None:
@@ -235,45 +243,32 @@ def recompute_routes(t: Topology, mode: str) -> None:
 
     Baseline routes every alive sensor to the sink. Framework routes the
     sink to itself, the sub-sink to the sink, each aggregator to the
-    sub-sink, and each sensor to its nearest alive aggregator by hop count
-    (the first in `t.aggregators` order on equal hops). Each target's BFS
-    field is computed at most once per call.
+    sub-sink, and each sensor to its collector: the nearest alive
+    aggregator by hop count, the first in `t.aggregators` order on equal
+    hops. Each hop goes to the lowest-id alive neighbour one hop nearer to
+    the route's target. One BFS runs per distinct source tuple: one in
+    baseline, at most three in framework.
     """
-    fields: Dict[int, Dict[int, int]] = {}
-
-    def dist_to(target: int) -> Dict[int, int]:
-        if target not in fields:
-            fields[target] = hop_distances(t, target)
-        return fields[target]
-
+    targets = ({NodeRole.SENSOR: (t.sink,)} if mode == "baseline" else
+               {NodeRole.SINK: (t.sink,), NodeRole.SUB_SINK: (t.sink,),
+                NodeRole.AGGREGATOR: (t.sub_sink,),  # None is never alive
+                NodeRole.SENSOR: t.aggregators})
+    fields: Dict[Tuple[int, ...], Tuple[Dict[int, int], Dict[int, int]]] = {}
     routes: Dict[int, List[int]] = {}
     for node in t.nodes:
-        n, role = node.id, node.role
-        if n not in t.alive:
+        sources = targets.get(node.role)
+        if sources is None or node.id not in t.alive:
             continue
-        target: Optional[int] = None
-        if mode == "baseline":
-            if role is NodeRole.SENSOR:
-                target = t.sink
-        elif role is NodeRole.SINK:
-            target = n
-        elif role is NodeRole.SUB_SINK:
-            target = t.sink
-        elif role is NodeRole.AGGREGATOR:
-            target = t.sub_sink
-        else:
-            best = None
-            for a in t.aggregators:
-                d = dist_to(a).get(n)
-                if d is not None and (best is None or d < best):
-                    target, best = a, d
-        if target is not None and n in dist_to(target):
-            routes[n] = _walk(t, dist_to(target), n)
+        if sources not in fields:
+            fields[sources] = hop_distances(t, sources)
+        dist, next_hop = fields[sources]
+        if node.id in dist:
+            routes[node.id] = _walk(next_hop, node.id)
     t.routes = routes
 
 
 def sink_reachable(t: Topology) -> bool:
     """True while at least one alive sensor can still reach the sink."""
-    dist = hop_distances(t, t.sink)
+    dist, _ = hop_distances(t, (t.sink,))
     return any(n.role is NodeRole.SENSOR and n.id in t.alive and n.id in dist
                for n in t.nodes)

@@ -123,12 +123,15 @@ class TestRun:
         (("scenario", LINE_FIXTURE.replace("aggregator_ids = 1",
                                            "aggregator_ids = 1, 1").encode()),
          "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"placement = uniform\narea_size = -50\n"
+                      b"comm_radius = 40\n"), "0\n" * 5, "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
             "non_utf8_model", "nan_radio_constant", "nan_theta_p",
             "nan_event_rate", "nan_dedup_eps", "inf_initial_energy",
             "nan_initial_energy", "repeated_key", "negative_aggregator_every",
-            "nan_weight", "inf_weight", "repeated_aggregator_id"])
+            "nan_weight", "inf_weight", "repeated_aggregator_id",
+            "negative_area_size"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"

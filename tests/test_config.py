@@ -95,6 +95,12 @@ class TestValidate:
             ScenarioConfig(aggregator_every=-3).validate()
         ScenarioConfig(aggregator_every=0).validate()
 
+    def test_negative_area_size(self):
+        with pytest.raises(InvalidScenario, match="area_size"):
+            ScenarioConfig(placement="uniform", area_size=-50.0,
+                           comm_radius=40.0).validate()
+        ScenarioConfig(placement="uniform", area_size=0.0).validate()
+
     def test_repeated_aggregator_id(self):
         with pytest.raises(InvalidScenario, match="aggregator_ids"):
             parse_scenario("aggregator_ids = 5, 7, 5\n").validate()
