@@ -71,14 +71,12 @@ def cmd_compare(args) -> int:
                       metrics.serialize(rep, args.format))
 
     rows = [("metric", "baseline", "framework", "ratio")]
-    for label, attr in (("total_bits_transmitted", "total_bits_transmitted"),
-                        ("total_energy_consumed_j", "total_energy_consumed_j"),
-                        ("readings_delivered_to_sink", "readings_delivered_to_sink"),
-                        ("first_node_death_round", "first_node_death_round"),
-                        ("network_death_round", "network_death_round")):
-        b, f = getattr(baseline, attr), getattr(framework, attr)
+    for name in ("total_bits_transmitted", "total_energy_consumed_j",
+                 "readings_delivered_to_sink", "first_node_death_round",
+                 "network_death_round"):
+        b, f = getattr(baseline, name), getattr(framework, name)
         r = _ratio(f, b)
-        rows.append((label,
+        rows.append((name,
                      "none" if b is None else str(b),
                      "none" if f is None else str(f),
                      "undefined" if r is None else repr(r)))

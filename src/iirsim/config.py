@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Tuple, Union
 
-from .energy import RadioParams
+from .energy import E_AMP_DEFAULT, E_ELEC_DEFAULT, RadioParams
 from .errors import InvalidScenario, InvalidValue, MalformedLine, UnknownKey
 from .pipeline import PipelineConfig
 
@@ -31,8 +31,8 @@ class ScenarioConfig:
     seed: int = 1
     mode: str = "framework"
     # radio / energy
-    e_elec: float = 50e-9
-    e_amp: float = 100e-12
+    e_elec: float = E_ELEC_DEFAULT
+    e_amp: float = E_AMP_DEFAULT
     initial_energy_j: float = 0.5
     # sensed field
     field_base: float = 25.0
@@ -110,6 +110,10 @@ class ScenarioConfig:
             raise InvalidScenario("event_duration must be positive")
         if self.drift_period <= 0:
             raise InvalidScenario("drift_period must be positive")
+        # sense() takes the sine of this phase, which must stay finite
+        if not math.isfinite(2.0 * math.pi * max(self.rounds - 1, 0)
+                             / self.drift_period):
+            raise InvalidScenario("drift_period is too small for the rounds")
 
 
 def _parse_bool(raw: str) -> bool:

@@ -6,7 +6,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 HEADER_BITS = 64
 READING_BITS = 64
@@ -59,19 +59,11 @@ class Packet:
     bits: int
 
 
-def packet_bits(n_readings: int, header_bits: int = HEADER_BITS,
-                reading_bits: int = READING_BITS) -> int:
+def packet_bits(n_readings: int) -> int:
     """Size of a packet carrying n_readings samples, in bits."""
     if n_readings < 0:
         raise ValueError("n_readings must be non-negative")
-    return header_bits + n_readings * reading_bits
-
-
-def make_packet(src: int, dst: int, payload: Iterable[SensorReading]) -> Packet:
-    payload = tuple(payload)
-    if src == dst:
-        raise ValueError("packet endpoints must differ")
-    return Packet(src=src, dst=dst, bits=packet_bits(len(payload)))
+    return HEADER_BITS + n_readings * READING_BITS
 
 
 def canonical_order(readings: Sequence[SensorReading]) -> list:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .config import ScenarioConfig
-from .core import Packet, SensorReading, make_packet
+from .core import Packet, SensorReading, packet_bits
 from .energy import EnergyLedger, RadioParams
 from .errors import NoRoute
 from .metrics import MetricsReport
@@ -47,7 +47,7 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     bits_total = 0
     for i in range(0, len(readings), batch_cap):
         chunk = readings[i:i + batch_cap]
-        pkt = make_packet(route[0], last, chunk)
+        pkt = Packet(route[0], last, packet_bits(len(chunk)))
         billed, arrived, killed = ledger.carry(legs, pkt.bits, radio, round_no)
         for (a, b, d), (tx, rx) in zip(legs, billed):
             events.append(TransmissionEvent(round_no, pkt, (a, b), d, tx, rx))

@@ -26,6 +26,7 @@ from . import aggregation, dissemination, metrics, pipeline, topology as topo_mo
 from .config import ScenarioConfig
 from .core import SensorReading, canonical_order, mix_seed
 from .energy import EnergyLedger
+from .errors import InvalidScenario
 from .metrics import MetricsReport
 from .pipeline import ClassifierModel
 
@@ -86,7 +87,11 @@ def sense(node: int, round_no: int, scenario: ScenarioConfig,
     noise = rng.gauss(0.0, scenario.noise_sigma)
     value = (scenario.field_base + drift + noise
              + ground_truth.magnitude.get(node, 0.0))
-    return SensorReading(source=node, round=round_no, value=value)
+    try:
+        return SensorReading(source=node, round=round_no, value=value)
+    except ValueError:
+        raise InvalidScenario(f"sensed value {value} at node {node} in round "
+                              f"{round_no} is not finite") from None
 
 
 @dataclass
@@ -104,7 +109,6 @@ class _Run:
         self.sc = scenario
         self.model = model
         self.topo = topo_mod.build_topology(scenario, scenario.seed)
-        topo_mod.recompute_routes(self.topo, scenario.mode)
         self.sensors = sorted(self.topo.sensors())
         self.radio = scenario.radio()
         self.cfg = scenario.pipeline_config()
@@ -215,12 +219,12 @@ class _Run:
     def execute(self) -> RunResult:
         # Routes and reachability depend only on the alive set, which only
         # shrinks: both are refreshed in the first round after it does.
-        routed, reachable = len(self.topo.alive), None
+        routed = len(self.topo.alive)
+        reachable = topo_mod.sink_reachable(self.topo)
         for round_no in range(self.sc.rounds):
             if len(self.topo.alive) != routed:
                 topo_mod.recompute_routes(self.topo, self.sc.mode)
-                routed, reachable = len(self.topo.alive), None
-            if reachable is None:
+                routed = len(self.topo.alive)
                 reachable = topo_mod.sink_reachable(self.topo)
             if not reachable:
                 self.report.network_death_round = round_no

@@ -32,6 +32,7 @@ class Topology:
     sub_sink: Optional[int]
     aggregators: Tuple[int, ...]
     routes: Dict[int, List[int]] = field(default_factory=dict)
+    sink_hops: Dict[int, int] = field(default_factory=dict)
 
     def legs(self, route: Sequence[int]) -> List[Tuple[int, int, float]]:
         """Every hop of `route` as (sender, receiver, distance in metres)."""
@@ -80,9 +81,13 @@ def _assign_roles(scenario: "ScenarioConfig",
     if scenario.sub_sink == "auto":
         cx = sum(p[0] for p in positions) / n
         cy = sum(p[1] for p in positions) / n
-        sub_sink = min((i for i in range(n) if i != sink),
-                       key=lambda i: ((positions[i][0] - cx) ** 2
-                                      + (positions[i][1] - cy) ** 2, i))
+        try:
+            sub_sink = min((i for i in range(n) if i != sink),
+                           key=lambda i: ((positions[i][0] - cx) ** 2
+                                          + (positions[i][1] - cy) ** 2, i))
+        except OverflowError:
+            raise InvalidScenario(
+                "layout too large: a squared distance overflows") from None
     else:
         sub_sink = scenario.sub_sink
     if sub_sink is not None and (not 0 <= sub_sink < n or sub_sink == sink):
@@ -153,7 +158,8 @@ def _adjacency(positions: List[Tuple[float, float]],
 
 
 def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
-    """Deterministic placement, role assignment, and adjacency for a scenario."""
+    """Deterministic placement, role assignment, adjacency and round-0
+    routes for a scenario; every sensor must reach the sink at round 0."""
     if scenario.node_count < 2:
         raise InvalidScenario("need at least 2 nodes")
     positions = _positions(scenario, seed)
@@ -172,9 +178,9 @@ def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
                     alive=set(range(scenario.node_count)), sink=sink,
                     sub_sink=sub_sink, aggregators=aggregators)
 
-    reach, _ = hop_distances(topo, (sink,))
+    recompute_routes(topo, scenario.mode)
     for node in nodes:
-        if node.role is NodeRole.SENSOR and node.id not in reach:
+        if node.role is NodeRole.SENSOR and node.id not in topo.sink_hops:
             raise DisconnectedTopology(
                 f"sensor {node.id} has no path to the sink at round 0")
     return topo
@@ -239,7 +245,8 @@ def shortest_hop_path(t: Topology, src: int, dst: int) -> List[int]:
 
 
 def recompute_routes(t: Topology, mode: str) -> None:
-    """Refresh the cached route table; nodes without a route are omitted.
+    """Refresh the route table and `sink_hops`; nodes without a route are
+    omitted.
 
     Baseline routes every alive sensor to the sink. Framework routes the
     sink to itself, the sub-sink to the sink, each aggregator to the
@@ -247,13 +254,15 @@ def recompute_routes(t: Topology, mode: str) -> None:
     aggregator by hop count, the first in `t.aggregators` order on equal
     hops. Each hop goes to the lowest-id alive neighbour one hop nearer to
     the route's target. One BFS runs per distinct source tuple: one in
-    baseline, at most three in framework.
+    baseline, at most three in framework. The sink's field always runs, and
+    its hop counts become `t.sink_hops`: every alive node that can reach it.
     """
     targets = ({NodeRole.SENSOR: (t.sink,)} if mode == "baseline" else
                {NodeRole.SINK: (t.sink,), NodeRole.SUB_SINK: (t.sink,),
                 NodeRole.AGGREGATOR: (t.sub_sink,),  # None is never alive
                 NodeRole.SENSOR: t.aggregators})
-    fields: Dict[Tuple[int, ...], Tuple[Dict[int, int], Dict[int, int]]] = {}
+    fields: Dict[Tuple[int, ...], Tuple[Dict[int, int], Dict[int, int]]] = {
+        (t.sink,): hop_distances(t, (t.sink,))}
     routes: Dict[int, List[int]] = {}
     for node in t.nodes:
         sources = targets.get(node.role)
@@ -265,10 +274,11 @@ def recompute_routes(t: Topology, mode: str) -> None:
         if node.id in dist:
             routes[node.id] = _walk(next_hop, node.id)
     t.routes = routes
+    t.sink_hops = fields[(t.sink,)][0]
 
 
 def sink_reachable(t: Topology) -> bool:
-    """True while at least one alive sensor can still reach the sink."""
-    dist, _ = hop_distances(t, (t.sink,))
-    return any(n.role is NodeRole.SENSOR and n.id in t.alive and n.id in dist
+    """True while at least one alive sensor can still reach the sink, as of
+    the last `recompute_routes`."""
+    return any(n.role is NodeRole.SENSOR and n.id in t.sink_hops
                for n in t.nodes)

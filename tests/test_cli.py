@@ -125,13 +125,26 @@ class TestRun:
          "0\n" * 5, "InvalidScenario"),
         (("scenario", b"placement = uniform\narea_size = -50\n"
                       b"comm_radius = 40\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"drift_period = 1e-320\n"), "0\n" * 5,
+         "InvalidScenario"),
+        (("scenario", b"noise_sigma = 1e308\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"field_base = 1.7e308\ndrift_amplitude = 1e308\n"),
+         "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"event_magnitude = 1e308\nevent_rate = 1\n"),
+         "0\n" * 5, "InvalidScenario"),
+        (("scenario", b"grid_spacing = 1e200\n"), "0\n" * 5,
+         "InvalidScenario"),
+        (("scenario", b"placement = uniform\narea_size = 1e200\n"),
+         "0\n" * 5, "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
             "non_utf8_model", "nan_radio_constant", "nan_theta_p",
             "nan_event_rate", "nan_dedup_eps", "inf_initial_energy",
             "nan_initial_energy", "repeated_key", "negative_aggregator_every",
             "nan_weight", "inf_weight", "repeated_aggregator_id",
-            "negative_area_size"])
+            "negative_area_size", "drift_phase_overflows",
+            "noise_overflows", "field_and_drift_overflow", "event_overflows",
+            "grid_distances_overflow", "uniform_distances_overflow"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"

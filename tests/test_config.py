@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from iirsim.config import ScenarioConfig, parse_scenario
+from iirsim.energy import RadioParams
 from iirsim.errors import (InvalidScenario, InvalidValue, MalformedLine,
                            UnknownKey)
 from iirsim.pipeline import PipelineConfig
@@ -61,6 +62,13 @@ class TestValidate:
     def test_defaults_valid(self):
         ScenarioConfig().validate()
 
+    def test_drift_phase_must_stay_finite(self):
+        with pytest.raises(InvalidScenario):
+            ScenarioConfig(drift_period=1e-320).validate()
+        # no round after round 0 is sensed, so the phase stays 0
+        for rounds in (0, 1):
+            ScenarioConfig(drift_period=1e-320, rounds=rounds).validate()
+
     def test_band_ordering(self):
         with pytest.raises(InvalidScenario):
             ScenarioConfig(band_lo=30.0, band_hi=20.0).validate()
@@ -116,6 +124,7 @@ class TestValidate:
 class TestPipelineConfig:
     def test_defaults_agree(self):
         assert ScenarioConfig().pipeline_config() == PipelineConfig()
+        assert ScenarioConfig().radio() == RadioParams()
 
     def test_scenario_value_reaches_pipeline(self):
         cfg = parse_scenario("theta_p = 0.3\n").pipeline_config()

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from iirsim.core import (SensorReading, canonical_order, make_packet,
-                         packet_bits)
+from iirsim.core import (HEADER_BITS, READING_BITS, SensorReading,
+                         canonical_order, packet_bits)
 
 
 def reading(source=0, rnd=0, value=0.0):
@@ -62,12 +62,8 @@ class TestReadingAndPacket:
             reading(value=float("nan"))
 
     def test_packet_bits_match_payload(self):
-        p = make_packet(0, 1, [reading(), reading(source=1)])
-        assert p.bits == packet_bits(2)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            make_packet(3, 3, [])
+        payload = [reading(), reading(source=1)]
+        assert packet_bits(len(payload)) == HEADER_BITS + 2 * READING_BITS
 
     def test_scores_default_zero(self):
         r = reading()

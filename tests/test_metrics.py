@@ -1,6 +1,6 @@
 import pytest
 
-from iirsim.core import NodeRole, SensorReading, make_packet
+from iirsim.core import NodeRole, Packet, SensorReading, packet_bits
 from iirsim.dissemination import TransmissionEvent, send_along
 from iirsim.energy import EnergyLedger, RadioParams
 from iirsim.metrics import (COLUMNS, MetricsReport, finalize, from_json,
@@ -64,7 +64,7 @@ class TestRecord:
         with pytest.raises(TypeError):
             record(MetricsReport(), object())
         # hop totals are folded by send_along, not by record
-        event = TransmissionEvent(0, make_packet(0, 1, []), (0, 1), 10.0,
+        event = TransmissionEvent(0, Packet(0, 1, packet_bits(0)), (0, 1), 10.0,
                                   6.4e-6, 3.2e-6)
         with pytest.raises(TypeError):
             record(MetricsReport(), event)

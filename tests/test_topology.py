@@ -4,13 +4,14 @@ from collections import deque
 
 import pytest
 
-from iirsim import topology
+from iirsim import engine, topology
 from iirsim.config import ScenarioConfig
 from iirsim.core import NodeRole
 from iirsim.errors import DisconnectedTopology, NoRoute
 from iirsim.topology import (Node, Topology, build_topology,
                              neighbors_in_round, recompute_routes,
-                             shortest_hop_path)
+                             shortest_hop_path, sink_reachable)
+from test_engine import draining
 
 
 def line_scenario(**kw):
@@ -256,13 +257,21 @@ class TestRouteTableOracle:
     def test_matches_per_sensor_reference_under_kills(self):
         rng = random.Random(2024)
         seen = dict.fromkeys(("dead_sub_sink", "dead_aggregator",
-                              "no_sub_sink", "equal_hops"), 0)
+                              "no_sub_sink", "equal_hops", "sink_unreachable"),
+                             0)
         for _ in range(150):
             t = random_role_topology(rng)
             while True:
+                hops = {n: bfs_oracle(t.adjacency, t.alive, n, t.sink)
+                        for n in t.alive}
+                hops = {n: h for n, h in hops.items() if h is not None}
+                reachable = any(t.nodes[n].role is NodeRole.SENSOR for n in hops)
                 for mode in ("baseline", "framework"):
                     recompute_routes(t, mode)
                     assert t.routes == reference_routes(t, mode)
+                    assert t.sink_hops == hops
+                    assert sink_reachable(t) == reachable
+                seen["sink_unreachable"] += not reachable
                 seen["dead_sub_sink"] += (t.sub_sink is not None
                                           and t.sub_sink not in t.alive)
                 seen["dead_aggregator"] += any(a not in t.alive
@@ -362,3 +371,23 @@ class TestRouteRecomputeCost:
             assert len(bfs_calls) == 1
         else:
             assert len(bfs_calls) <= 3
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_every_bfs_of_a_run_is_in_recompute_routes(self, monkeypatch, mode):
+        recompute, bfs = topology.recompute_routes, topology.hop_distances
+        depth, inside, outside = [0], [], []
+
+        def routing(t, mode):
+            depth[0] += 1
+            try:
+                return recompute(t, mode)
+            finally:
+                depth[0] -= 1
+
+        def counted(t, sources):
+            (inside if depth[0] else outside).append(sources)
+            return bfs(t, sources)
+        monkeypatch.setattr(topology, "recompute_routes", routing)
+        monkeypatch.setattr(topology, "hop_distances", counted)
+        engine.run(draining(mode))
+        assert inside and not outside
