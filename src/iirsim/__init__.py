@@ -3,14 +3,13 @@
 from .config import ScenarioConfig, load_scenario, parse_scenario
 from .engine import RunResult, run
 from .metrics import MetricsReport, from_json, serialize
-from .pipeline import ClassifierModel, PipelineConfig, train_classifier
+from .pipeline import ClassifierModel, train_classifier
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierModel",
     "MetricsReport",
-    "PipelineConfig",
     "RunResult",
     "ScenarioConfig",
     "from_json",

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
 from .energy import E_AMP_DEFAULT, E_ELEC_DEFAULT, RadioParams
 from .errors import InvalidScenario, InvalidValue, MalformedLine, UnknownKey
-from .pipeline import PipelineConfig
 
 MODES = ("baseline", "framework")
 PLACEMENTS = ("grid", "uniform", "line")
@@ -61,9 +61,9 @@ class ScenarioConfig:
     # dissemination
     batch_cap: int = 16
 
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(**{f.name: getattr(self, f.name)
-                                 for f in fields(PipelineConfig)})
+    @property
+    def band_width(self) -> float:
+        return self.band_hi - self.band_lo
 
     def radio(self) -> RadioParams:
         return RadioParams(e_elec=self.e_elec, e_amp=self.e_amp)
@@ -90,6 +90,9 @@ class ScenarioConfig:
             raise InvalidScenario("radio constants must be positive")
         if not self.band_lo < self.band_hi:
             raise InvalidScenario("band_lo must be below band_hi")
+        # the staircase divides by the band width, which must stay finite
+        if not math.isfinite(self.band_width):
+            raise InvalidScenario("band_hi - band_lo must be finite")
         if not (self.range_lo <= self.band_lo and self.band_hi <= self.range_hi):
             raise InvalidScenario("nominal band must lie inside the physical range")
         for key in ("theta_p", "delta_o", "tau_r", "dedup_eps", "rescue_score",
@@ -104,6 +107,8 @@ class ScenarioConfig:
             raise InvalidScenario("aggregator_ids must not repeat an id")
         if self.window_w < 1:
             raise InvalidScenario("window_w must be positive")
+        if self.window_w > sys.maxsize:  # a history deque's maxlen
+            raise InvalidScenario(f"window_w must be at most {sys.maxsize}")
         if self.batch_cap < 1:
             raise InvalidScenario("batch_cap must be positive")
         if self.event_duration < 1:

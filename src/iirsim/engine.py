@@ -111,7 +111,6 @@ class _Run:
         self.topo = topo_mod.build_topology(scenario, scenario.seed)
         self.sensors = sorted(self.topo.sensors())
         self.radio = scenario.radio()
-        self.cfg = scenario.pipeline_config()
         self.ledger = EnergyLedger({
             n.id: (math.inf if n.id == self.topo.sink
                    else scenario.initial_energy_j)
@@ -204,13 +203,13 @@ class _Run:
         snap = aggregation.RoundSnapshot(round=round_no,
                                          readings=tuple(canonical_order(at_sub_sink)))
         kept, trace = pipeline.run_pipeline(snap, round_context, self.topo,
-                                            self.history, self.cfg, self.model)
+                                            self.history, self.sc, self.model)
         metrics.record(rep, trace)
         if self.training is not None:
             for r in trace.sentiment_input:
                 label = (pipeline.LABEL_FORWARD if r.source in events
                          else pipeline.LABEL_DISCARD)
-                self.training.append((pipeline.features(r, self.cfg), label))
+                self.training.append((pipeline.features(r, self.sc), label))
 
         # leg 3: survivors -> sink
         if kept:

@@ -7,39 +7,28 @@ stage returns (kept, dropped) and only ever shrinks its input: a kept reading
 is a new reading carrying the stage's score, a dropped one is the input
 reading itself and never reappears. `run_pipeline` records each drop once,
 with its stage, in `StageTrace.drops`.
+
+The thresholds are the scenario's staircase keys: every stage reads them
+from the `ScenarioConfig` it is given as `cfg`.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Deque, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
                    STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
 from .errors import EmptyTrainingSet, InvalidValue
-from .topology import Topology, neighbors_in_round
+from .topology import Topology
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 N_FEATURES = 5
 PERCEPTRON_EPOCHS = 100
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    band_lo: float = 20.0
-    band_hi: float = 30.0
-    theta_p: float = 0.1
-    window_w: int = 4
-    delta_o: float = 0.5
-    range_lo: float = -20.0
-    range_hi: float = 70.0
-    tau_r: float = 2.0
-    quorum_q: float = 0.3
-    rescue_score: float = 1.0
-
-    @property
-    def band_width(self) -> float:
-        return self.band_hi - self.band_lo
 
 
 @dataclass(frozen=True)
@@ -65,13 +54,14 @@ class StageTrace:
 HistoryIndex = Dict[int, Deque[float]]
 
 
-def features(r: SensorReading, cfg: PipelineConfig) -> Tuple[float, ...]:
+def features(r: SensorReading, cfg: "ScenarioConfig") -> Tuple[float, ...]:
     w = cfg.band_width
     return (r.priority_score, r.opinion_deviation / w, r.consensus_ratio,
             (r.value - cfg.band_lo) / w, 1.0)
 
 
-def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
+def priority_analysis(readings: Sequence[SensorReading],
+                      cfg: "ScenarioConfig"):
     kept, dropped = [], []
     w = cfg.band_width
     for r in readings:
@@ -86,7 +76,7 @@ def priority_analysis(readings: Sequence[SensorReading], cfg: PipelineConfig):
 
 def opinion_analysis(readings: Sequence[SensorReading],
                      history_index: Mapping[int, Sequence[float]],
-                     cfg: PipelineConfig):
+                     cfg: "ScenarioConfig"):
     kept, dropped = [], []
     for r in readings:
         if not cfg.range_lo <= r.value <= cfg.range_hi:
@@ -112,13 +102,14 @@ def opinion_analysis(readings: Sequence[SensorReading],
 
 def review_analysis(readings: Sequence[SensorReading],
                     round_context: Sequence[SensorReading],
-                    topology: Topology, cfg: PipelineConfig):
+                    topology: Topology, cfg: "ScenarioConfig"):
     by_source: Dict[int, List[float]] = {}
     for c in round_context:
         by_source.setdefault(c.source, []).append(c.value)
+    adjacency, alive = topology.adjacency, topology.alive
     kept, dropped = [], []
     for r in readings:
-        peers = [v for s in neighbors_in_round(topology, r.source)
+        peers = [v for s in adjacency[r.source] if s in alive
                  for v in by_source.get(s, ())]
         if peers:
             ratio = sum(1 for v in peers if abs(v - r.value) <= cfg.tau_r) / len(peers)
@@ -169,7 +160,8 @@ def training_accuracy(model: ClassifierModel,
 
 
 def sentiment_classify(readings: Sequence[SensorReading],
-                       model: Optional[ClassifierModel], cfg: PipelineConfig):
+                       model: Optional[ClassifierModel],
+                       cfg: "ScenarioConfig"):
     kept, dropped = [], []
     for r in readings:
         if r.priority_score >= cfg.rescue_score:
@@ -184,7 +176,8 @@ def sentiment_classify(readings: Sequence[SensorReading],
 
 def run_pipeline(snapshot, round_context: Sequence[SensorReading],
                  topology: Topology, history_index: HistoryIndex,
-                 cfg: PipelineConfig, model: Optional[ClassifierModel] = None):
+                 cfg: "ScenarioConfig",
+                 model: Optional[ClassifierModel] = None):
     """Apply the four stages in order; returns (survivors, trace).
 
     Updates history_index with the values of forwarded readings only.

@@ -186,10 +186,6 @@ def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
     return topo
 
 
-def neighbors_in_round(t: Topology, n: int) -> Set[int]:
-    return {m for m in t.adjacency[n] if m in t.alive} - {n}
-
-
 def hop_distances(t: Topology, sources: Sequence[int]
                   ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """BFS over the alive subgraph from every alive node in `sources`.

@@ -52,6 +52,21 @@ seed = 3
 """
 
 
+# valid by the parsers, but a history deque cannot be that long
+HUGE_WINDOW = LINE_FIXTURE + "window_w = 100000000000000000000\n"
+
+# band_hi - band_lo overflows, so the opinion feature would be inf / inf
+INFINITE_BAND_WIDTH = """\
+band_lo = -1e308
+band_hi = 1e308
+range_lo = -1e308
+range_hi = 1e308
+theta_p = 0
+rescue_score = 2
+rounds = 20
+"""
+
+
 @pytest.fixture
 def scenario(tmp_path):
     def write(text, name="scenario.txt"):
@@ -136,6 +151,9 @@ class TestRun:
          "InvalidScenario"),
         (("scenario", b"placement = uniform\narea_size = 1e200\n"),
          "0\n" * 5, "InvalidScenario"),
+        (("scenario", HUGE_WINDOW.encode()), "0\n" * 5, "InvalidScenario"),
+        (("scenario", INFINITE_BAND_WIDTH.encode()), "0\n" * 5,
+         "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
             "non_utf8_model", "nan_radio_constant", "nan_theta_p",
@@ -144,7 +162,8 @@ class TestRun:
             "nan_weight", "inf_weight", "repeated_aggregator_id",
             "negative_area_size", "drift_phase_overflows",
             "noise_overflows", "field_and_drift_overflow", "event_overflows",
-            "grid_distances_overflow", "uniform_distances_overflow"])
+            "grid_distances_overflow", "uniform_distances_overflow",
+            "huge_window", "infinite_band_width"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"
@@ -231,6 +250,18 @@ class TestTrain:
         assert main(["run", "--scenario", scenario(text), "--model",
                      model_path, "--quiet", "--out", out]) == 0
         assert load_model(model_path) == saved
+
+    @pytest.mark.parametrize("text", [HUGE_WINDOW, INFINITE_BAND_WIDTH],
+                             ids=["huge_window", "infinite_band_width"])
+    def test_bad_scenario_writes_no_model(self, scenario, tmp_path, capsys,
+                                          text):
+        out = tmp_path / "m.txt"
+        code = main(["train", "--scenario", scenario(text), "--quiet",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidScenario: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_no_candidates_error(self, scenario, tmp_path, capsys):
         # zero rounds produce no pipeline input at all

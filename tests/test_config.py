@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -6,7 +7,6 @@ from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.energy import RadioParams
 from iirsim.errors import (InvalidScenario, InvalidValue, MalformedLine,
                            UnknownKey)
-from iirsim.pipeline import PipelineConfig
 
 
 class TestParse:
@@ -73,6 +73,19 @@ class TestValidate:
         with pytest.raises(InvalidScenario):
             ScenarioConfig(band_lo=30.0, band_hi=20.0).validate()
 
+    def test_band_width_must_be_finite(self):
+        wide = dict(band_lo=-1e308, band_hi=1e308, range_lo=-1e308,
+                    range_hi=1e308)
+        assert ScenarioConfig(**wide).band_width == float("inf")
+        with pytest.raises(InvalidScenario, match="band"):
+            ScenarioConfig(**wide).validate()
+        ScenarioConfig(**dict(wide, band_lo=-1e307, band_hi=1e307)).validate()
+
+    def test_window_w_must_fit_a_deque(self):
+        with pytest.raises(InvalidScenario, match="window_w"):
+            ScenarioConfig(window_w=sys.maxsize + 1).validate()
+        ScenarioConfig(window_w=sys.maxsize).validate()
+
     def test_range_must_cover_band(self):
         with pytest.raises(InvalidScenario):
             ScenarioConfig(range_hi=25.0).validate()
@@ -121,11 +134,6 @@ class TestValidate:
             parse_scenario(f"{key} = {value}\n").validate()
 
 
-class TestPipelineConfig:
+class TestRadio:
     def test_defaults_agree(self):
-        assert ScenarioConfig().pipeline_config() == PipelineConfig()
         assert ScenarioConfig().radio() == RadioParams()
-
-    def test_scenario_value_reaches_pipeline(self):
-        cfg = parse_scenario("theta_p = 0.3\n").pipeline_config()
-        assert cfg == PipelineConfig(theta_p=0.3)

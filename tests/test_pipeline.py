@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 from collections import Counter, deque
@@ -5,17 +6,18 @@ from collections import Counter, deque
 import pytest
 
 from iirsim.aggregation import RoundSnapshot
+from iirsim.config import ScenarioConfig
 from iirsim.core import (LABEL_DISCARD, LABEL_FORWARD, STAGES, NodeRole,
                          SensorReading, canonical_order)
 from iirsim.errors import EmptyTrainingSet
-from iirsim.pipeline import (ClassifierModel, PipelineConfig, features,
-                             load_model, opinion_analysis, priority_analysis,
+from iirsim.pipeline import (ClassifierModel, features, load_model,
+                             opinion_analysis, priority_analysis,
                              review_analysis, run_pipeline, save_model,
                              sentiment_classify, train_classifier,
                              training_accuracy)
 from iirsim.topology import Node, Topology
 
-CFG = PipelineConfig()  # band [20, 30], theta 0.1, delta 0.5, tau 2, quorum 0.3
+CFG = ScenarioConfig()  # band [20, 30], theta 0.1, delta 0.5, tau 2, quorum 0.3
 
 
 def reading(source=0, rnd=0, value=25.0):
@@ -96,6 +98,14 @@ class TestReview:
         kept, _ = review_analysis([reading(source=0, value=25.0)],
                                   context, t, CFG)
         assert kept[0].consensus_ratio == pytest.approx(1 / 3)
+
+    def test_dead_neighbor_reading_not_a_peer(self):
+        t = clique_topology(3)
+        t.alive.discard(2)
+        context = [reading(source=1, value=25.5), reading(source=2, value=40.0)]
+        kept, _ = review_analysis([reading(source=0, value=25.0)],
+                                  context, t, CFG)
+        assert kept[0].consensus_ratio == 1.0
 
 
 class TestPerceptron:
@@ -207,7 +217,7 @@ def random_pipeline_case(rng, n_nodes=8):
     history = {s: deque([rng.uniform(15.0, 45.0)
                          for _ in range(rng.randrange(0, 4))], maxlen=4)
                for s in range(n_nodes)}
-    cfg = PipelineConfig(theta_p=rng.choice([0.0, 0.1, 0.3]),
+    cfg = ScenarioConfig(theta_p=rng.choice([0.0, 0.1, 0.3]),
                          delta_o=rng.choice([0.0, 0.5, 2.0]),
                          quorum_q=rng.choice([0.0, 0.3, 0.8]),
                          rescue_score=rng.choice([0.2, 1.0]))
@@ -225,7 +235,7 @@ class TestRunPipeline:
 
     def test_fully_permissive_is_identity(self):
         t = clique_topology(4)
-        cfg = PipelineConfig(theta_p=0.0, delta_o=0.0, quorum_q=0.0,
+        cfg = ScenarioConfig(theta_p=0.0, delta_o=0.0, quorum_q=0.0,
                              rescue_score=0.0)
         readings = tuple(reading(source=i, value=20.0 + i) for i in range(4))
         snap = RoundSnapshot(round=0, readings=readings)
@@ -276,7 +286,7 @@ class TestRunPipeline:
                     reading(source=2, value=50.0))
         snap = RoundSnapshot(round=0, readings=readings)
         _, trace = run_pipeline(snap, list(readings), t, {0: deque([31.0])},
-                                PipelineConfig(quorum_q=0.0))
+                                ScenarioConfig(quorum_q=0.0))
         r = trace.sentiment_input[0]
         assert (r.source, r.priority_score, r.opinion_deviation,
                 r.consensus_ratio) == (0, pytest.approx(0.5),
@@ -295,14 +305,14 @@ class TestRunPipeline:
 
     def test_history_updated_with_forwarded_only(self):
         t = clique_topology(2)
-        cfg = PipelineConfig(theta_p=0.0, delta_o=0.0, quorum_q=0.0,
+        cfg = ScenarioConfig(theta_p=0.0, delta_o=0.0, quorum_q=0.0,
                              rescue_score=0.0)
         history = {}
         snap = RoundSnapshot(round=0, readings=(reading(source=1, value=40.0),))
         run_pipeline(snap, list(snap.readings), t, history, cfg)
         assert list(history[1]) == [40.0]
         # a dropped reading must not touch history
-        strict = PipelineConfig(theta_p=5.0)
+        strict = ScenarioConfig(theta_p=5.0)
         history2 = {}
         run_pipeline(snap, list(snap.readings), t, history2, strict)
         assert history2 == {}
@@ -332,13 +342,11 @@ class TestFeatures:
         factor = 3.0
         for _ in range(50):
             t, snap, history, cfg, model = random_pipeline_case(rng)
-            scaled_cfg = PipelineConfig(
-                band_lo=cfg.band_lo * factor, band_hi=cfg.band_hi * factor,
-                theta_p=cfg.theta_p, window_w=cfg.window_w,
+            scaled_cfg = dataclasses.replace(
+                cfg, band_lo=cfg.band_lo * factor, band_hi=cfg.band_hi * factor,
                 delta_o=cfg.delta_o * factor,
                 range_lo=cfg.range_lo * factor, range_hi=cfg.range_hi * factor,
-                tau_r=cfg.tau_r * factor, quorum_q=cfg.quorum_q,
-                rescue_score=cfg.rescue_score)
+                tau_r=cfg.tau_r * factor)
             scaled_snap = RoundSnapshot(round=0, readings=tuple(
                 SensorReading(r.source, r.round, r.value * factor)
                 for r in snap.readings))

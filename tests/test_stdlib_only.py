@@ -27,3 +27,8 @@ def test_runtime_imports_only_the_standard_library(path):
 def test_the_package_is_found():
     names = {p.name for p in PACKAGE.glob("*.py")}
     assert {"__init__.py", "engine.py", "pipeline.py"} <= names
+
+
+def test_every_public_name_resolves():
+    import iirsim
+    assert [n for n in iirsim.__all__ if not hasattr(iirsim, n)] == []

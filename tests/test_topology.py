@@ -9,8 +9,8 @@ from iirsim.config import ScenarioConfig
 from iirsim.core import NodeRole
 from iirsim.errors import DisconnectedTopology, NoRoute
 from iirsim.topology import (Node, Topology, build_topology,
-                             neighbors_in_round, recompute_routes,
-                             shortest_hop_path, sink_reachable)
+                             recompute_routes, shortest_hop_path,
+                             sink_reachable)
 from test_engine import draining
 
 
@@ -87,6 +87,14 @@ class TestBuild:
         assert t.sub_sink is not None
         assert len(t.aggregators) == 9  # reference layout: 9 aggregators
 
+    def test_adjacency_symmetric_without_self_loops(self):
+        sc = ScenarioConfig(node_count=25, placement="uniform", comm_radius=40.0,
+                            sub_sink="auto", aggregator_every=5)
+        t = build_topology(sc, seed=3)
+        for a in range(25):
+            for b in t.adjacency[a]:
+                assert b != a and a in t.adjacency[b]
+
 
 class TestRouting:
     def test_sink_self_route(self):
@@ -145,30 +153,6 @@ class TestRouting:
         t.aggregators = (2, 4)
         recompute_routes(t, "framework")
         assert t.routes[0] == [0, 4]
-
-
-class TestNeighbors:
-    def test_isolated(self):
-        t = graph_topology(2, [], sink=1, alive={0, 1})
-        t.adjacency = {0: set(), 1: set()}
-        assert neighbors_in_round(t, 0) == set()
-
-    def test_chain_middle(self):
-        t = graph_topology(3, [(0, 1), (1, 2)], sink=2)
-        assert neighbors_in_round(t, 1) == {0, 2}
-
-    def test_dead_neighbor_excluded(self):
-        t = graph_topology(3, [(0, 1), (1, 2)], sink=2)
-        t.alive.discard(2)
-        assert neighbors_in_round(t, 1) == {0}
-
-    def test_symmetry(self):
-        sc = ScenarioConfig(node_count=25, placement="uniform", comm_radius=40.0,
-                            sub_sink="auto", aggregator_every=5)
-        t = build_topology(sc, seed=3)
-        for a in range(25):
-            for b in neighbors_in_round(t, a):
-                assert a in neighbors_in_round(t, b)
 
 
 class TestRouteTable:
