@@ -8,15 +8,13 @@ forwarded values with `committed_values` once the round's output is final.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .core import SensorReading, canonical_order
 from .errors import StaleReading
 
 
-@dataclass(frozen=True)
-class RoundSnapshot:
+class RoundSnapshot(NamedTuple):
     round: int
     readings: Tuple[SensorReading, ...]
 
@@ -35,8 +33,6 @@ def deduplicate(s: RoundSnapshot, eps: float,
                 last_forwarded: Optional[Dict[int, float]] = None) -> RoundSnapshot:
     """Drop exact duplicates, then eps-suppress against the last forwarded
     value per source. Pure: `last_forwarded` is read, never written."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
     last_forwarded = last_forwarded or {}
     seen = set()
     retained = []

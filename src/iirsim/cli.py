@@ -81,7 +81,7 @@ def cmd_compare(args) -> int:
                      "none" if f is None else str(f),
                      "undefined" if r is None else repr(r)))
     table_csv = "\n".join(",".join(row) for row in rows) + "\n"
-    _atomic_write(_out_path(args.out, "_compare", "csv"), table_csv)
+    _atomic_write(os.path.splitext(args.out)[0] + "_compare.csv", table_csv)
     if not args.quiet:
         width = [max(len(row[i]) for row in rows) for i in range(4)]
         for row in rows:
@@ -97,12 +97,11 @@ def cmd_train(args) -> int:
             "warm-up run produced no candidate readings to train on")
     model = pipeline.train_classifier(examples)
     accuracy = pipeline.training_accuracy(model, examples)
-    out = args.out if args.out != "report" else "model.txt"
-    pipeline.save_model(model, out)
+    pipeline.save_model(model, args.out)
     if not args.quiet:
         print(f"trained on {len(examples)} examples, "
               f"training accuracy {accuracy:.4f}")
-        print(f"model written to {out}")
+        print(f"model written to {args.out}")
     return 0
 
 
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train the sentiment classifier")
     common(p_train)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, out="model.txt")
     return parser
 
 

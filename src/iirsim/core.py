@@ -1,12 +1,10 @@
 """Shared simulator vocabulary: readings, roles, packets, canonical ordering."""
 from __future__ import annotations
 
-import math
 import os
 import tempfile
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 HEADER_BITS = 64
 READING_BITS = 64
@@ -28,8 +26,8 @@ class NodeRole(str, Enum):
     SINK = "sink"
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(NamedTuple):
+    # `value` is checked finite once, where it is sensed (engine.sense).
     source: int
     round: int
     value: float
@@ -42,18 +40,13 @@ class SensorReading:
     # Share of neighbour readings within tau_r of the value (review).
     consensus_ratio: float = 0.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("reading value must be finite")
-
     def key(self) -> Tuple[int, int]:
         # (source, round) is unique within an engine run: one sample per
         # sensor per round, duplicates removed before forwarding.
         return (self.source, self.round)
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     src: int
     dst: int
     bits: int
@@ -61,8 +54,6 @@ class Packet:
 
 def packet_bits(n_readings: int) -> int:
     """Size of a packet carrying n_readings samples, in bits."""
-    if n_readings < 0:
-        raise ValueError("n_readings must be non-negative")
     return HEADER_BITS + n_readings * READING_BITS
 
 

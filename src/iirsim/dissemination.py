@@ -6,7 +6,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .config import ScenarioConfig
 from .core import Packet, SensorReading, packet_bits
 from .energy import EnergyLedger, RadioParams
-from .errors import NoRoute
 from .metrics import MetricsReport
 from .topology import Topology
 
@@ -31,10 +30,6 @@ def send_along(route: Sequence[int], readings: Sequence[SensorReading],
     mid-route cancels the remaining hops for that packet; the loss is an
     outcome, not an error.
     """
-    if not route:
-        raise NoRoute("empty route")
-    if batch_cap < 1:
-        raise ValueError("batch_cap must be positive")
     readings = list(readings)
     legs = topology.legs(route)
     if not legs:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import aggregation, dissemination, metrics, pipeline, topology as topo_mod
 from .config import ScenarioConfig
-from .core import SensorReading, canonical_order, mix_seed
+from .core import SensorReading, mix_seed
 from .energy import EnergyLedger
 from .errors import InvalidScenario
 from .metrics import MetricsReport
@@ -87,11 +87,10 @@ def sense(node: int, round_no: int, scenario: ScenarioConfig,
     noise = rng.gauss(0.0, scenario.noise_sigma)
     value = (scenario.field_base + drift + noise
              + ground_truth.magnitude.get(node, 0.0))
-    try:
-        return SensorReading(source=node, round=round_no, value=value)
-    except ValueError:
+    if not math.isfinite(value):
         raise InvalidScenario(f"sensed value {value} at node {node} in round "
-                              f"{round_no} is not finite") from None
+                              f"{round_no} is not finite")
+    return SensorReading(source=node, round=round_no, value=value)
 
 
 @dataclass
@@ -200,8 +199,7 @@ class _Run:
                 at_sub_sink.extend(self._send(a, snap.readings, round_no))
 
         # staircase filter at the sub-sink
-        snap = aggregation.RoundSnapshot(round=round_no,
-                                         readings=tuple(canonical_order(at_sub_sink)))
+        snap = aggregation.collect_round(at_sub_sink, round_no)
         kept, trace = pipeline.run_pipeline(snap, round_context, self.topo,
                                             self.history, self.sc, self.model)
         metrics.record(rep, trace)

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from .pipeline import StageTrace
 from .core import STAGE_OPINION, STAGE_PRIORITY, STAGE_REVIEW, STAGE_SENTIMENT
+
+if TYPE_CHECKING:
+    from .pipeline import StageTrace
 
 # Fixed CSV column order; also the JSON field set.
 COLUMNS = [
@@ -79,10 +81,8 @@ class MetricsReport:
         self.total_energy_consumed_j, self._energy_comp = total, comp
 
 
-def record(report: MetricsReport, item: StageTrace) -> MetricsReport:
+def record(report: MetricsReport, item: "StageTrace") -> MetricsReport:
     """Fold one round's stage trace into the stage counts."""
-    if not isinstance(item, StageTrace):
-        raise TypeError(f"cannot record {type(item).__name__}")
     for stage, _, n_out in item.counts:
         setattr(report, _STAGE_FIELD[stage],
                 getattr(report, _STAGE_FIELD[stage]) + n_out)

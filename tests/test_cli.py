@@ -82,7 +82,7 @@ class TestRun:
         code = main(["run", "--scenario", scenario(LINE_FIXTURE),
                      "--rounds", "0", "--out", out])
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.splitlines()[1].split(",")[2] == "0"  # readings_generated
 
     def test_disconnected_nonzero_exit(self, scenario, tmp_path, capsys):
@@ -96,7 +96,7 @@ class TestRun:
         argvs = [["run", "--scenario", scenario(SMALL_GRID), "--format",
                   "json", "--quiet", "--out", o] for o in (out1, out2)]
         assert main(argvs[0]) == 0 and main(argvs[1]) == 0
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
     def test_seed_override(self, scenario, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -104,7 +104,7 @@ class TestRun:
               "--quiet", "--seed", "1", "--out", out1])
         main(["run", "--scenario", scenario(SMALL_GRID), "--format", "json",
               "--quiet", "--seed", "2", "--out", out2])
-        assert open(out1).read() != open(out2).read()
+        assert Path(out1).read_text() != Path(out2).read_text()
 
     def test_unknown_key_surfaced(self, scenario, tmp_path, capsys):
         code = main(["run", "--scenario", scenario("node_cout = 4\n"),
@@ -200,7 +200,7 @@ class TestCompare:
         code = main(["compare", "--scenario", scenario(LINE_FIXTURE),
                      "--out", out, "--quiet"])
         assert code == 0
-        table = open(str(tmp_path / "cmp_compare.csv")).read()
+        table = (tmp_path / "cmp_compare.csv").read_text()
         row = [l for l in table.splitlines()
                if l.startswith("readings_delivered_to_sink")][0]
         assert row.split(",")[3] == "1.0"
@@ -212,7 +212,7 @@ class TestCompare:
         code = main(["compare", "--scenario", scenario(SMALL_GRID),
                      "--rounds", "0", "--out", out, "--quiet"])
         assert code == 0
-        table = open(str(tmp_path / "cmp_compare.csv")).read().splitlines()
+        table = (tmp_path / "cmp_compare.csv").read_text().splitlines()
         for line in table[1:]:
             assert line.split(",")[3] == "undefined"
 
@@ -221,9 +221,18 @@ class TestCompare:
         code = main(["compare", "--scenario", scenario(SMALL_GRID),
                      "--format", "json", "--out", out, "--quiet"])
         assert code == 0
-        bl = from_json(open(str(tmp_path / "cmp_baseline.json")).read())
-        fw = from_json(open(str(tmp_path / "cmp_framework.json")).read())
+        bl = from_json((tmp_path / "cmp_baseline.json").read_text())
+        fw = from_json((tmp_path / "cmp_framework.json").read_text())
         assert fw.total_bits_transmitted < bl.total_bits_transmitted
+
+    def test_table_is_csv_whatever_the_format(self, scenario, tmp_path):
+        code = main(["compare", "--scenario", scenario(LINE_FIXTURE),
+                     "--format", "json", "--out", str(tmp_path / "cmp.json"),
+                     "--quiet"])
+        assert code == 0
+        table = (tmp_path / "cmp_compare.csv").read_text()
+        assert table.startswith("metric,baseline,framework,ratio\n")
+        assert not (tmp_path / "cmp_compare.json").exists()
 
 
 class TestTrain:
@@ -238,6 +247,18 @@ class TestTrain:
         assert "accuracy 1.0000" in capsys.readouterr().out
         model = load_model(out)
         assert model.weights == (0.0,) * 5
+
+    def test_out_report_is_taken_literally(self, scenario, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = SMALL_GRID.replace("rounds = 15", "rounds = 40")
+        assert main(["train", "--scenario", scenario(text), "--quiet",
+                     "--out", "report"]) == 0
+        assert load_model(str(tmp_path / "report")).weights
+        assert not (tmp_path / "model.txt").exists()
+        assert main(["train", "--scenario", scenario(text), "--quiet"]) == 0
+        assert (tmp_path / "model.txt").read_text() == \
+            (tmp_path / "report").read_text()
 
     def test_model_round_trip_through_run(self, scenario, tmp_path):
         text = (SMALL_GRID.replace("rounds = 15", "rounds = 60")

@@ -5,7 +5,6 @@ import pytest
 from iirsim.core import NodeRole, SensorReading, packet_bits
 from iirsim.dissemination import send_along
 from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
-from iirsim.errors import NoRoute
 from iirsim.metrics import MetricsReport
 from iirsim.topology import Node, Topology
 
@@ -62,11 +61,6 @@ class TestSendAlong:
         assert len(delivered) == 25 and lost == 0
         sizes = sorted({e.packet.bits for e in events})
         assert sizes == [packet_bits(5), packet_bits(10)]
-
-    def test_empty_route_rejected(self):
-        t, ledger = line_topology(2)
-        with pytest.raises(NoRoute):
-            send_along([], readings(1), t, RADIO, ledger, MetricsReport())
 
     def test_self_route_delivers_without_events(self):
         t, ledger = line_topology(2)

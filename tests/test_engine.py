@@ -8,6 +8,7 @@ import pytest
 from iirsim import dissemination, engine, metrics, pipeline, topology
 from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.energy import EnergyLedger
+from iirsim.errors import InvalidScenario
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
 
@@ -61,6 +62,15 @@ class TestSense:
         assert 0 in gt.magnitude  # node 0 gives an event reading in round 0
         r = engine.sense(0, 0, sc, gt, random.Random(0))
         assert r.value == pytest.approx(35.0)
+
+    def test_non_finite_value_rejected(self):
+        # each input is finite, their sum is not
+        sc = line_fixture(field_base=1e308, event_rate=1.0,
+                          event_magnitude=1e308, event_radius=1000.0)
+        gt = self.make_gt(sc)
+        gt.advance(0, random.Random(1))
+        with pytest.raises(InvalidScenario, match="not finite"):
+            engine.sense(0, 0, sc, gt, random.Random(0))
 
 
 class TestRun:

@@ -1,7 +1,7 @@
 import pytest
 
-from iirsim.core import NodeRole, Packet, SensorReading, packet_bits
-from iirsim.dissemination import TransmissionEvent, send_along
+from iirsim.core import NodeRole, SensorReading
+from iirsim.dissemination import send_along
 from iirsim.energy import EnergyLedger, RadioParams
 from iirsim.metrics import (COLUMNS, MetricsReport, finalize, from_json,
                             record, serialize, to_csv, to_json)
@@ -59,15 +59,6 @@ class TestRecord:
         record(r, trace)
         assert (r.readings_after_priority, r.readings_after_opinion,
                 r.readings_after_review, r.readings_after_sentiment) == (6, 5, 5, 2)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            record(MetricsReport(), object())
-        # hop totals are folded by send_along, not by record
-        event = TransmissionEvent(0, Packet(0, 1, packet_bits(0)), (0, 1), 10.0,
-                                  6.4e-6, 3.2e-6)
-        with pytest.raises(TypeError):
-            record(MetricsReport(), event)
 
 
 class TestFinalize:
