@@ -3,15 +3,29 @@
 `EnergyLedger.carry` bills a whole packet's route in one call, hop by hop
 exactly as `alive`, `debit`, `tx_cost` and `rx_cost` would; those stay as the
 single-charge reference that tests compare it against.
+
+`EnergyLedger.carry_leg` bills a whole leg of one-packet flows per node
+instead of per hop, when no battery on it can run out: each node's charges
+then follow a fixed pattern, and replaying that pattern through the same
+Kahan steps gives the same floats, in the same order, as `carry` would for
+each packet in turn. When some battery could run out it bills nothing, and
+the caller carries the leg packet by packet.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 E_ELEC_DEFAULT = 50e-9    # J/bit, transceiver electronics
 E_AMP_DEFAULT = 100e-12   # J/bit/m^2, free-space amplifier
+
+# Relative margin by which a node's balance after a leg billed per node must
+# stay below its battery. The running Kahan sums differ from the closed-form
+# totals by a few ulps, far inside this margin, so no charge in the leg can
+# overdraw a battery or round it to empty.
+GUARD_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,7 +176,102 @@ class EnergyLedger:
                 return billed, False, killed
         return billed, True, killed
 
+    def carry_leg(self, routes: Sequence[Sequence[int]], nodes: Sequence,
+                  bits: int, radio: RadioParams
+                  ) -> Optional[Tuple[List[float], List[float]]]:
+        """Carry one packet of `bits` along each route, in route order,
+        billing per node instead of per hop; `nodes[i].pos` is node i's
+        position.
+
+        The ledger ends exactly as after `carry` of each packet in turn, and
+        every packet arrives. That holds when the routes' origins are
+        distinct, each sender sends to one receiver, no node both sends and
+        ends a route, and every finite node on the routes would end the leg
+        with its balance below its battery by more than the relative
+        `GUARD_BAND`. Otherwise nothing is billed and the result is None.
+
+        Returns (tx billed, rx billed), lists indexed by sender: the joules
+        billed at each end of its hop (0 at infinite-energy nodes).
+        """
+        n = len(nodes)
+        initial, consumed, comp = self._initial, self._consumed, self._comp
+        recv = [-1] * n    # each sender's one receiver
+        got = [0] * n      # packets received
+        before = [-1] * n  # packets relayed before its own, or -1 if none own
+        senders: List[int] = []
+        ends = set()
+        for route in routes:
+            a = route[0]
+            if len(route) < 2:  # arrives where it starts, with no hop
+                continue
+            if before[a] >= 0:
+                return None
+            before[a] = got[a]
+            for b in islice(route, 1, None):
+                r = recv[a]
+                if r != b:
+                    if r >= 0:
+                        return None
+                    recv[a] = b
+                    senders.append(a)
+                got[b] += 1
+                a = b
+            ends.add(a)
+
+        rx = bits * radio.e_elec
+        amp = bits * radio.e_amp
+        inf, band = math.inf, 1.0 + GUARD_BAND
+        tx_billed, rx_billed = [0.0] * n, [0.0] * n
+        for a in senders:
+            b = recv[a]
+            ax, ay = nodes[a].pos
+            bx, by = nodes[b].pos
+            d = math.hypot(ax - bx, ay - by)  # Topology.legs' hop length
+            tx = rx + amp * d * d  # tx_cost's association
+            # An empty, NaN or too small battery fails the check; an
+            # infinite one is never billed.
+            init = initial[a]
+            if init != inf:
+                total = got[a] * (rx + tx) + (tx if before[a] >= 0 else 0.0)
+                if not (consumed[a] + total) * band < init:
+                    return None
+                tx_billed[a] = tx
+            if initial[b] != inf:
+                rx_billed[a] = rx
+        for e in ends:
+            init = initial[e]
+            if recv[e] >= 0:
+                return None
+            if init != inf and not (consumed[e] + got[e] * rx) * band < init:
+                return None
+
+        # A relay is charged (rx, tx) per packet it relays before its own,
+        # tx for its own, then (rx, tx) per packet after; a route's last
+        # node rx per packet.
+        for a in senders:
+            if initial[a] != inf:
+                tx, relayed, k = tx_billed[a], got[a], before[a]
+                charges = ((rx, tx) * relayed if k < 0 else
+                           (rx, tx) * k + (tx,) + (rx, tx) * (relayed - k))
+                consumed[a], comp[a] = _kahan(consumed[a], comp[a], charges)
+        for e in ends:
+            if initial[e] != inf:
+                consumed[e], comp[e] = _kahan(consumed[e], comp[e],
+                                              (rx,) * got[e])
+        return tx_billed, rx_billed
+
     def _record_death(self, node: int, round_no: int) -> None:
         self.death_rounds[node] = round_no
         if self.first_death_round is None:
             self.first_death_round = round_no
+
+
+def _kahan(consumed: float, comp: float, charges) -> Tuple[float, float]:
+    """`consumed` and its compensation after `debit`'s Kahan step for each
+    of `charges` in turn."""
+    for v in charges:
+        y = v - comp
+        t = consumed + y
+        comp = (t - consumed) - y
+        consumed = t
+    return consumed, comp

@@ -126,18 +126,22 @@ class _Run:
         self.training: Optional[List[Tuple[Tuple[float, ...], str]]] = (
             [] if collect_training else None)
 
-    def _send(self, owner, readings, round_no):
-        """Send `readings` along `owner`'s route; returns those that arrive.
+    def _send(self, sends, round_no):
+        """Send each `(owner, readings)` along `owner`'s route, in one leg;
+        returns the readings that arrive.
 
-        Readings are lost when `owner` has no route or when a node on the
-        route dies before they arrive.
+        Readings are lost when their owner has no route or when a node on
+        the route dies before they arrive.
         """
-        route = self.topo.routes.get(owner)
-        if route is None:
-            self.report.readings_lost_in_transit += len(readings)
-            return []
+        routes, flows = self.topo.routes, []
+        for owner, readings in sends:
+            route = routes.get(owner)
+            if route is None:
+                self.report.readings_lost_in_transit += len(readings)
+            else:
+                flows.append((route, readings))
         _, delivered, lost = dissemination.send_along(
-            route, readings, self.topo, self.radio, self.ledger, self.report,
+            flows, self.topo, self.radio, self.ledger, self.report,
             batch_cap=self.sc.batch_cap, round_no=round_no)
         self.report.readings_lost_in_transit += lost
         return delivered
@@ -175,9 +179,8 @@ class _Run:
         routes = self.topo.routes
         ends = (self.topo.sink,) if baseline else self.topo.aggregators
         arrived: Dict[int, List[SensorReading]] = {a: [] for a in ends}
-        for r in readings:
-            for d in self._send(r.source, [r], round_no):
-                arrived[routes[r.source][-1]].append(d)
+        for d in self._send(((r.source, (r,)) for r in readings), round_no):
+            arrived[routes[d.source][-1]].append(d)
         if baseline:
             self._deliver(arrived[self.topo.sink])
             return
@@ -196,7 +199,7 @@ class _Run:
             # an aggregator that died receiving its readings forwards none
             # and counts none lost
             if snap.readings and a in self.topo.alive:
-                at_sub_sink.extend(self._send(a, snap.readings, round_no))
+                at_sub_sink.extend(self._send([(a, snap.readings)], round_no))
 
         # staircase filter at the sub-sink
         snap = aggregation.collect_round(at_sub_sink, round_no)
@@ -211,7 +214,7 @@ class _Run:
 
         # leg 3: survivors -> sink
         if kept:
-            self._deliver(self._send(self.topo.sub_sink, kept, round_no))
+            self._deliver(self._send([(self.topo.sub_sink, kept)], round_no))
 
     def execute(self) -> RunResult:
         # Routes and reachability depend only on the alive set, which only

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from iirsim.core import NodeRole, SensorReading, packet_bits
 from iirsim.dissemination import send_along
-from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
+from iirsim.energy import (GUARD_BAND, EnergyLedger, RadioParams, rx_cost,
+                           tx_cost)
 from iirsim.metrics import MetricsReport
 from iirsim.topology import Node, Topology
 
@@ -35,15 +37,15 @@ class TestSendAlong:
     def test_empty_readings_no_events(self):
         t, ledger = line_topology(2)
         report = MetricsReport()
-        events, delivered, lost = send_along([0, 1], [], t, RADIO, ledger,
-                                             report)
-        assert events == [] and delivered == [] and lost == 0
+        events, delivered, lost = send_along([([0, 1], [])], t, RADIO,
+                                             ledger, report)
+        assert list(events) == [] and delivered == [] and lost == 0
         assert report == MetricsReport()
 
     def test_single_reading_single_hop(self):
         t, ledger = line_topology(2)
-        events, delivered, lost = send_along([0, 1], readings(1), t, RADIO,
-                                             ledger, MetricsReport(),
+        events, delivered, lost = send_along([([0, 1], readings(1))], t,
+                                             RADIO, ledger, MetricsReport(),
                                              batch_cap=10)
         assert len(events) == 1
         assert events[0].packet.bits == 128
@@ -53,8 +55,8 @@ class TestSendAlong:
         # oracle: ceil(25 / 10) packets, each crossing every hop
         t, ledger = line_topology(4)
         route = [0, 1, 2, 3]
-        events, delivered, lost = send_along(route, readings(25), t, RADIO,
-                                             ledger, MetricsReport(),
+        events, delivered, lost = send_along([(route, readings(25))], t,
+                                             RADIO, ledger, MetricsReport(),
                                              batch_cap=10)
         n_packets = -(-25 // 10)
         assert len(events) == n_packets * (len(route) - 1) == 9
@@ -64,14 +66,14 @@ class TestSendAlong:
 
     def test_self_route_delivers_without_events(self):
         t, ledger = line_topology(2)
-        events, delivered, lost = send_along([0], readings(3), t, RADIO,
+        events, delivered, lost = send_along([([0], readings(3))], t, RADIO,
                                              ledger, MetricsReport())
-        assert events == [] and len(delivered) == 3 and lost == 0
+        assert list(events) == [] and len(delivered) == 3 and lost == 0
 
     def test_energy_billed_matches_radio_model(self):
         t, ledger = line_topology(3, spacing=8.0)
-        events, _, _ = send_along([0, 1, 2], readings(2), t, RADIO, ledger,
-                                  MetricsReport())
+        events, _, _ = send_along([([0, 1, 2], readings(2))], t, RADIO,
+                                  ledger, MetricsReport())
         for e in events:
             assert e.tx_energy == pytest.approx(
                 tx_cost(RADIO, e.packet.bits, e.distance), rel=1e-12)
@@ -85,8 +87,8 @@ class TestSendAlong:
         # node 1 can afford receiving but dies on its transmit
         t, ledger = line_topology(4, energy=1.0)
         ledger._initial[1] = rx_cost(RADIO, 128) + 1e-9
-        events, delivered, lost = send_along([0, 1, 2, 3], readings(1), t,
-                                             RADIO, ledger, MetricsReport())
+        events, delivered, lost = send_along([([0, 1, 2, 3], readings(1))],
+                                             t, RADIO, ledger, MetricsReport())
         assert delivered == [] and lost == 1
         assert len(events) == 2  # hop 0->1 completes, 1->2 kills the sender
         assert 1 not in t.alive
@@ -96,18 +98,172 @@ class TestSendAlong:
         t, ledger = line_topology(3)
         t.alive.discard(1)
         ledger._initial[1] = 0.0
-        events, delivered, lost = send_along([0, 1, 2], readings(4), t, RADIO,
-                                             ledger, MetricsReport(),
+        events, delivered, lost = send_along([([0, 1, 2], readings(4))], t,
+                                             RADIO, ledger, MetricsReport(),
                                              batch_cap=2)
-        assert events == [] and delivered == [] and lost == 4
+        assert list(events) == [] and delivered == [] and lost == 4
 
     def test_bits_billed_equal_bits_carried(self):
         t, ledger = line_topology(5)
         route = [0, 1, 2, 3, 4]
-        events, _, _ = send_along(route, readings(33), t, RADIO, ledger,
+        events, _, _ = send_along([(route, readings(33))], t, RADIO, ledger,
                                   MetricsReport(), batch_cap=8)
         per_packet = {}
         for e in events:
             per_packet.setdefault(id(e.packet), [e.packet.bits, 0])[1] += 1
         total = sum(e.packet.bits for e in events)
         assert total == sum(bits * hops for bits, hops in per_packet.values())
+
+
+def tree_topology(energy):
+    """Sensors 3-7 send to aggregator 2 over a tree in which the sink (0)
+    and the sub-sink (1) relay; irregular positions give every hop its own
+    length."""
+    pos = [(0.0, 0.0), (7.5, 3.0), (4.0, 11.0), (-6.0, 4.5), (13.0, -2.0),
+           (21.0, -6.5), (15.5, 5.0), (-3.0, -9.0)]
+    roles = {0: NodeRole.SINK, 1: NodeRole.SUB_SINK, 2: NodeRole.AGGREGATOR}
+    nodes = [Node(i, roles.get(i, NodeRole.SENSOR), p)
+             for i, p in enumerate(pos)]
+    t = Topology(nodes=nodes, comm_radius=20.0,
+                 adjacency={i: set() for i in range(len(pos))},
+                 alive=set(range(len(pos))), sink=0, sub_sink=1,
+                 aggregators=(2,))
+    ledger = EnergyLedger({i: (math.inf if i == 0 else energy * (1 + i / 7))
+                           for i in range(len(pos))})
+    # 5's packet crosses 4 before 4's own, 6's after it
+    routes = [[5, 4, 1, 2], [3, 0, 2], [4, 1, 2], [6, 4, 1, 2], [7, 3, 0, 2]]
+    return t, ledger, routes
+
+
+def line_leg(energy):
+    """Every node of a line sends one packet to the sink at its end."""
+    t, ledger = line_topology(6, spacing=9.0, energy=energy)
+    return t, ledger, [list(range(i, 6)) for i in range(5)]
+
+
+def kahan_sum(charges):
+    """The balance `debit` leaves after `charges`, from empty."""
+    ledger = EnergyLedger({0: 1.0})
+    for c in charges:
+        ledger.debit(0, c, round_no=0)
+    return ledger._consumed[0]
+
+
+def send_leg(make, energy, rounds, decline=False, radio=RADIO):
+    """Send one reading from each route's origin, `rounds` times, as one leg
+    a round; with `decline`, carry_leg bills nothing, so every packet goes
+    through carry. Returns the ledger, the report, each round's
+    (hops, delivered, lost) and the arguments of every carry call."""
+    t, ledger, routes = make(energy)
+    report = MetricsReport()
+    carried = []
+    with pytest.MonkeyPatch.context() as mp:
+        if decline:
+            mp.setattr(EnergyLedger, "carry_leg", lambda *args: None)
+        carry = EnergyLedger.carry
+
+        def counted(self, *args):
+            carried.append(args)
+            return carry(self, *args)
+        mp.setattr(EnergyLedger, "carry", counted)
+        sent = []
+        for rnd in range(rounds):
+            flows = [(r, [SensorReading(source=r[0], round=rnd, value=1.0)])
+                     for r in routes]
+            hops, delivered, lost = send_along(flows, t, radio, ledger, report,
+                                               round_no=rnd)
+            sent.append((list(hops), delivered, lost))
+    return ledger, report, sent, carried
+
+
+def assert_same_outcome(a, b):
+    (la, ra, sa, _), (lb, rb, sb, _) = a, b
+    assert la._consumed == lb._consumed
+    assert la._comp == lb._comp
+    assert la.death_rounds == lb.death_rounds
+    assert ra.total_energy_consumed_j == rb.total_energy_consumed_j
+    assert ra._energy_comp == rb._energy_comp
+    assert ra.total_bits_transmitted == rb.total_bits_transmitted
+    assert sa == sb
+
+
+class TestPerNodeBilling:
+    @pytest.mark.parametrize("make", [line_leg, tree_topology])
+    def test_equals_per_packet_carry(self, make):
+        per_node = send_leg(make, 0.37, rounds=6)
+        per_packet = send_leg(make, 0.37, rounds=6, decline=True)
+        assert per_node[3] == [] and per_packet[3]
+        assert per_node[0].death_rounds == {}
+        assert per_node[1].total_bits_transmitted > 0
+        assert_same_outcome(per_node, per_packet)
+
+    @pytest.mark.parametrize("share", [1.0, 1.0 + GUARD_BAND / 2,
+                                       1.0 + 2 * GUARD_BAND],
+                             ids=["ends_empty", "inside_band", "outside_band"])
+    def test_guard_band(self, share):
+        # relay 1 sends its own packet, then dies or nearly so relaying
+        # 0's: its battery is `share` times the leg's Kahan sum
+        def make(energy):
+            t, ledger = line_topology(4, spacing=10.0, energy=1.0)
+            tx, rx = tx_cost(RADIO, 128, 10.0), rx_cost(RADIO, 128)
+            ledger._initial[1] = energy * kahan_sum([tx, rx, tx])
+            return t, ledger, [[1, 2, 3], [0, 1, 2, 3]]
+        got = send_leg(make, share, rounds=1)
+        want = send_leg(make, share, rounds=1, decline=True)
+        assert_same_outcome(got, want)
+        ledger, _, [(_, _, lost)], carried = got
+        assert bool(carried) == (share < 1.0 + GUARD_BAND)
+        if share == 1.0:
+            assert ledger.death_rounds == {1: 0} and lost == 1
+        else:
+            assert ledger.death_rounds == {} and lost == 0
+
+    def test_seeded_random_legs_equal_per_packet(self):
+        rng = random.Random(20153)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(2, 12)
+            energy = rng.choice((1.0, 2e-3, 3e-4))
+            radio = RadioParams(e_elec=rng.uniform(1e-9, 1e-7),
+                                e_amp=rng.uniform(1e-12, 1e-9))
+            # a forest toward lower ids; some origins repeat, some routes
+            # stop short, some nodes start empty or infinite
+            up = [rng.randrange(-1, i) for i in range(n)]
+            origins = rng.sample(range(n), rng.randint(2, n))
+            if rng.random() < 0.2:
+                origins.append(rng.choice(origins))
+            stop = 0.3 if rng.random() < 0.3 else 0.0
+            routes = []
+            for o in origins:
+                route = [o]
+                while up[route[-1]] >= 0 and rng.random() >= stop:
+                    route.append(up[route[-1]])
+                routes.append(route)
+            initial = [rng.choice((math.inf, energy * rng.random(), energy,
+                                   energy, energy, energy))
+                       for _ in range(n)]
+            if rng.random() < 0.1:
+                initial[rng.randrange(n)] = 0.0
+            nodes = [Node(i, NodeRole.SENSOR,
+                          (rng.uniform(0, 40), rng.uniform(0, 40)))
+                     for i in range(n)]
+
+            def make(_, routes=routes, initial=initial, nodes=nodes):
+                t = Topology(nodes=nodes, comm_radius=40.0,
+                             adjacency={i: set() for i in range(len(nodes))},
+                             alive=set(range(len(nodes))), sink=0,
+                             sub_sink=None, aggregators=())
+                return t, EnergyLedger(dict(enumerate(initial))), routes
+            got = send_leg(make, None, rounds=4, radio=radio)
+            want = send_leg(make, None, rounds=4, radio=radio, decline=True)
+            assert_same_outcome(got, want)
+            carried, deaths = bool(got[3]), bool(got[0].death_rounds)
+            outcomes.add((carried, deaths))
+        # legs billed per node, and declined with and without deaths
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_shared_sender_two_receivers_declines(self):
+        t, ledger = line_topology(4)
+        assert ledger.carry_leg([[0, 1, 3], [1, 2, 3]], t.nodes, 128,
+                                RADIO) is None
+        assert all(c == 0.0 for c in ledger._consumed.values())

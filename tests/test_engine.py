@@ -243,31 +243,86 @@ class TestHopTotals:
         # remaining() only fills per_node_energy_remaining_j at the end
         assert calls["remaining"] == len(r.per_node_energy_remaining_j)
 
+    @staticmethod
+    def count_ledger_calls(monkeypatch, scenario):
+        """Run `scenario`, counting send_along calls billed per node or
+        declined by carry_leg, the flows and packets of calls billed per
+        packet, and the calls of legs, carry and debit."""
+        calls = {"per_node": 0, "declined": 0, "flows": 0, "packets": 0,
+                 "legs": 0, "carry": 0, "debit": 0}
+        billed = []
+        with monkeypatch.context() as mp:
+            send_along = dissemination.send_along
+            carry_leg = EnergyLedger.carry_leg
+
+            def counted_carry_leg(*args):
+                got = carry_leg(*args)
+                billed.append(got is not None)
+                return got
+
+            def counted_send(flows, *args, batch_cap, **kwargs):
+                billed.clear()
+                result = send_along(flows, *args, batch_cap=batch_cap,
+                                    **kwargs)
+                if billed == [True]:
+                    calls["per_node"] += 1
+                else:
+                    calls["declined"] += billed == [False]
+                    calls["flows"] += len(flows)
+                    calls["packets"] += sum(math.ceil(len(rs) / batch_cap)
+                                            for route, rs in flows
+                                            if len(route) > 1)
+                return result
+            mp.setattr(dissemination, "send_along", counted_send)
+            mp.setattr(EnergyLedger, "carry_leg", counted_carry_leg)
+            for owner, name in ((topology.Topology, "legs"),
+                                (EnergyLedger, "carry"),
+                                (EnergyLedger, "debit")):
+                def counted(*args, _name=name, _fn=getattr(owner, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
+                mp.setattr(owner, name, counted)
+            report = engine.run(scenario).report
+        return calls, report
+
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_one_ledger_call_per_packet(self, monkeypatch, mode):
-        calls = {"send_along": 0, "packets": 0, "legs": 0, "carry": 0,
-                 "debit": 0}
-        send_along = dissemination.send_along
+        # leg 1 is billed per node in every round where it cannot empty a
+        # battery; legs 2 and 3, and leg 1 when it can, are billed per
+        # packet, with hop geometry once per flow; never per charge
+        for make in (reference, draining):
+            calls, r = self.count_ledger_calls(monkeypatch, make(mode))
+            assert calls["per_node"] > 0
+            assert calls["carry"] == calls["packets"]
+            assert calls["legs"] == calls["flows"]
+            assert calls["debit"] == 0
+            if make is reference:
+                assert calls["per_node"] == r.rounds_completed
+                assert calls["declined"] == 0
+                assert (calls["carry"] == 0) == (mode == "baseline")
+            else:
+                assert calls["declined"] > 0
 
-        def counted_send(route, readings, *args, batch_cap, **kwargs):
-            calls["send_along"] += 1
-            if len(route) > 1:
-                calls["packets"] += math.ceil(len(readings) / batch_cap)
-            return send_along(route, readings, *args, batch_cap=batch_cap,
-                              **kwargs)
-        monkeypatch.setattr(dissemination, "send_along", counted_send)
-        for owner, name in ((topology.Topology, "legs"),
-                            (EnergyLedger, "carry"), (EnergyLedger, "debit")):
-            def counted(*args, _name=name, _fn=getattr(owner, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(owner, name, counted)
-        engine.run(draining(mode))
-        # hop geometry once per call, billing once per packet, never per hop
-        assert calls["packets"] > 0
-        assert calls["legs"] == calls["send_along"]
-        assert calls["carry"] == calls["packets"]
-        assert calls["debit"] == 0
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["baseline", "framework"])
+@pytest.mark.parametrize("make", [reference, draining])
+def test_per_node_billing_gives_the_per_packet_report(monkeypatch, make, mode,
+                                                      seed):
+    sc = dataclasses.replace(make(mode), seed=seed)
+    billed = []
+    carry_leg = EnergyLedger.carry_leg
+
+    def counted(*args):
+        got = carry_leg(*args)
+        billed.append(got is not None)
+        return got
+    monkeypatch.setattr(EnergyLedger, "carry_leg", counted)
+    per_node = serialize(engine.run(sc).report, "json")
+    assert any(billed)
+    # the pass declines every leg, so every packet is carried one by one
+    monkeypatch.setattr(EnergyLedger, "carry_leg", lambda *args: None)
+    assert serialize(engine.run(sc).report, "json") == per_node
 
 
 class TestTrainingCollection:

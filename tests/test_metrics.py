@@ -17,8 +17,8 @@ def one_hop_send(report, n_readings=1):
     t = Topology(nodes=nodes, comm_radius=10.0, adjacency={0: {1}, 1: {0}},
                  alive={0, 1}, sink=1, sub_sink=None, aggregators=())
     ledger = EnergyLedger({0: 1.0, 1: 1.0})
-    return send_along([0, 1], [SensorReading(source=0, round=0, value=1.0)
-                               for _ in range(n_readings)],
+    return send_along([([0, 1], [SensorReading(source=0, round=0, value=1.0)
+                                 for _ in range(n_readings)])],
                       t, RadioParams(), ledger, report)
 
 
