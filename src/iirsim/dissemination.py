@@ -9,7 +9,6 @@ same balances and the same report, to the last bit.
 """
 from __future__ import annotations
 
-from itertools import chain, islice
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .config import ScenarioConfig
@@ -72,22 +71,20 @@ def send_along(flows: Sequence[Flow], topology: Topology, radio: RadioParams,
         if 0 < size <= batch_cap and all(len(rs) == size for _, rs in flows):
             routes = [route for route, _ in flows]
             bits = packet_bits(size)
-            billed = ledger.carry_leg(routes, topology.nodes, bits, radio)
-            if billed is not None:
-                return _billed_per_node(flows, routes, bits, billed,
-                                        topology, report, round_no)
+            plan = ledger.carry_leg(routes, topology.nodes, bits, radio)
+            if plan is not None:
+                return _billed_per_node(flows, routes, bits, plan, topology,
+                                        report, round_no)
     return _carry_each_packet(flows, topology, radio, ledger, report,
                               batch_cap, round_no)
 
 
-def _billed_per_node(flows, routes, bits, billed, topology, report,
-                     round_no):
+def _billed_per_node(flows, routes, bits, plan, topology, report, round_no):
     """The report, hops and deliveries of a leg `carry_leg` billed."""
-    tx_billed, rx_billed = billed
-    n_hops = sum(map(len, routes)) - len(routes)
+    tx_billed, rx_billed = plan.tx_billed, plan.rx_billed
+    n_hops = len(plan.hop_energy)
     report.total_bits_transmitted += bits * n_hops
-    report.add_energy(tx_billed[a] + rx_billed[a] for a in chain.from_iterable(
-        islice(route, len(route) - 1) for route in routes))
+    report.add_energy(plan.hop_energy)
 
     def build():
         events = []

@@ -8,15 +8,20 @@ single-charge reference that tests compare it against.
 instead of per hop, when no battery on it can run out: each node's charges
 then follow a fixed pattern, and replaying that pattern through the same
 Kahan steps gives the same floats, in the same order, as `carry` would for
-each packet in turn. When some battery could run out it bills nothing, and
-the caller carries the leg packet by packet.
+each packet in turn. The pattern depends only on the routes, so it is
+planned once per route version (a `LegPlan`: each sender's hop energy and
+relay counts, each node's closed-form leg total, every hop's billed joules);
+whether every battery can pay, and the billing itself, are worked out on
+every call. When some battery could run out it bills nothing, and the caller
+carries the leg packet by packet.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from operator import is_
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 E_ELEC_DEFAULT = 50e-9    # J/bit, transceiver electronics
 E_AMP_DEFAULT = 100e-12   # J/bit/m^2, free-space amplifier
@@ -44,6 +49,22 @@ def rx_cost(p: RadioParams, bits: int) -> float:
     return bits * p.e_elec
 
 
+class LegPlan(NamedTuple):
+    """What `carry_leg` bills for one route version, every call the same."""
+    rx: float  # each packet's receive charge
+    # (finite sender, tx, pairs before its own packet, pairs after, leg
+    # total), where a pair is (rx, tx); -1 pairs after when it sends no
+    # packet of its own. The leg total is the closed-form sum of its charges.
+    relays: List[Tuple[int, float, int, int, float]]
+    # (finite last node, packets received, leg total)
+    ends: List[Tuple[int, int, float]]
+    # joules billed per hop at its sender's and its receiver's end, indexed
+    # by sender (0 at infinite-energy nodes)
+    tx_billed: List[float]
+    rx_billed: List[float]
+    hop_energy: List[float]  # each hop's tx + rx billed, in hop order
+
+
 class EnergyLedger:
     """Tracks battery drain for every node in a run.
 
@@ -59,6 +80,8 @@ class EnergyLedger:
         self._comp = {n: 0.0 for n in initial_by_node}
         self.death_rounds: Dict[int, int] = {}
         self.first_death_round: Optional[int] = None
+        # (routes, nodes, bits, radio, plan or None) of the last carry_leg
+        self._last_leg: Optional[tuple] = None
 
     def remaining(self, node: int) -> float:
         init = self._initial[node]
@@ -177,8 +200,7 @@ class EnergyLedger:
         return billed, True, killed
 
     def carry_leg(self, routes: Sequence[Sequence[int]], nodes: Sequence,
-                  bits: int, radio: RadioParams
-                  ) -> Optional[Tuple[List[float], List[float]]]:
+                  bits: int, radio: RadioParams) -> Optional[LegPlan]:
         """Carry one packet of `bits` along each route, in route order,
         billing per node instead of per hop; `nodes[i].pos` is node i's
         position.
@@ -190,14 +212,82 @@ class EnergyLedger:
         with its balance below its battery by more than the relative
         `GUARD_BAND`. Otherwise nothing is billed and the result is None.
 
-        Returns (tx billed, rx billed), lists indexed by sender: the joules
-        billed at each end of its hop (0 at infinite-energy nodes).
+        The routes decide everything but the balances, so their `LegPlan`
+        is built once and kept until a call passes other route list objects
+        (or other `nodes`, `bits` or `radio`); routes are never changed in
+        place. The battery check and the billing run on every call.
+
+        Returns the plan, whose `tx_billed`, `rx_billed` and `hop_energy`
+        give the joules billed per hop.
         """
-        n = len(nodes)
+        last = self._last_leg
+        if not (last is not None and last[1] is nodes and last[2] == bits
+                and last[3] == radio and len(last[0]) == len(routes)
+                and all(map(is_, last[0], routes))):
+            self._last_leg = None  # the old plan is garbage before the build
+            self._last_leg = (routes, nodes, bits, radio,
+                              self._plan_leg(routes, nodes, bits, radio))
+        plan = self._last_leg[4]
+        if plan is None:
+            return None
         initial, consumed, comp = self._initial, self._consumed, self._comp
+        band = 1.0 + GUARD_BAND
+        # An empty, NaN or too small battery fails the check.
+        for a, _, _, _, total in plan.relays:
+            if not (consumed[a] + total) * band < initial[a]:
+                return None
+        for e, _, total in plan.ends:
+            if not (consumed[e] + total) * band < initial[e]:
+                return None
+
+        # debit's Kahan step, once per charge of each node's pattern.
+        rx = plan.rx
+        for a, tx, k, after, _ in plan.relays:
+            c, m = consumed[a], comp[a]
+            for _ in repeat(None, k):
+                y = rx - m
+                t = c + y
+                m = (t - c) - y
+                y = tx - m
+                c = t + y
+                m = (c - t) - y
+            if after >= 0:
+                y = tx - m
+                t = c + y
+                m = (t - c) - y
+                c = t
+                for _ in repeat(None, after):
+                    y = rx - m
+                    t = c + y
+                    m = (t - c) - y
+                    y = tx - m
+                    c = t + y
+                    m = (c - t) - y
+            consumed[a], comp[a] = c, m
+        for e, k, _ in plan.ends:
+            c, m = consumed[e], comp[e]
+            for _ in repeat(None, k):
+                y = rx - m
+                t = c + y
+                m = (t - c) - y
+                c = t
+            consumed[e], comp[e] = c, m
+        return plan
+
+    def _plan_leg(self, routes, nodes, bits, radio) -> Optional[LegPlan]:
+        """`carry_leg`'s plan for `routes`, from one walk over their hops;
+        None when their shape cannot be billed per node."""
+        n = len(nodes)
+        initial, inf = self._initial, math.inf
+        rx = bits * radio.e_elec
+        amp = bits * radio.e_amp
         recv = [-1] * n    # each sender's one receiver
         got = [0] * n      # packets received
         before = [-1] * n  # packets relayed before its own, or -1 if none own
+        tx_billed, rx_billed = [0.0] * n, [0.0] * n
+        hop = [0.0] * n    # each sender's hop energy
+        hop_energy: List[float] = []
+        add_hop = hop_energy.append
         senders: List[int] = []
         ends = set()
         for route in routes:
@@ -214,64 +304,44 @@ class EnergyLedger:
                         return None
                     recv[a] = b
                     senders.append(a)
+                    # An infinite battery is never billed. The hop length
+                    # is Topology.legs', the charge in tx_cost's association.
+                    if initial[a] != inf:
+                        ax, ay = nodes[a].pos
+                        bx, by = nodes[b].pos
+                        d = math.hypot(ax - bx, ay - by)
+                        tx_billed[a] = rx + amp * d * d
+                    if initial[b] != inf:
+                        rx_billed[a] = rx
+                    hop[a] = tx_billed[a] + rx_billed[a]
+                add_hop(hop[a])
                 got[b] += 1
                 a = b
             ends.add(a)
 
-        rx = bits * radio.e_elec
-        amp = bits * radio.e_amp
-        inf, band = math.inf, 1.0 + GUARD_BAND
-        tx_billed, rx_billed = [0.0] * n, [0.0] * n
-        for a in senders:
-            b = recv[a]
-            ax, ay = nodes[a].pos
-            bx, by = nodes[b].pos
-            d = math.hypot(ax - bx, ay - by)  # Topology.legs' hop length
-            tx = rx + amp * d * d  # tx_cost's association
-            # An empty, NaN or too small battery fails the check; an
-            # infinite one is never billed.
-            init = initial[a]
-            if init != inf:
-                total = got[a] * (rx + tx) + (tx if before[a] >= 0 else 0.0)
-                if not (consumed[a] + total) * band < init:
-                    return None
-                tx_billed[a] = tx
-            if initial[b] != inf:
-                rx_billed[a] = rx
-        for e in ends:
-            init = initial[e]
-            if recv[e] >= 0:
-                return None
-            if init != inf and not (consumed[e] + got[e] * rx) * band < init:
-                return None
-
         # A relay is charged (rx, tx) per packet it relays before its own,
         # tx for its own, then (rx, tx) per packet after; a route's last
         # node rx per packet.
+        relays: List[Tuple[int, float, int, int, float]] = []
         for a in senders:
             if initial[a] != inf:
                 tx, relayed, k = tx_billed[a], got[a], before[a]
-                charges = ((rx, tx) * relayed if k < 0 else
-                           (rx, tx) * k + (tx,) + (rx, tx) * (relayed - k))
-                consumed[a], comp[a] = _kahan(consumed[a], comp[a], charges)
+                if k >= 0:
+                    relays.append((a, tx, k, relayed - k,
+                                   relayed * (rx + tx) + tx))
+                else:
+                    relays.append((a, tx, relayed, -1, relayed * (rx + tx)))
+        finite_ends: List[Tuple[int, int, float]] = []
         for e in ends:
+            if recv[e] >= 0:
+                return None
             if initial[e] != inf:
-                consumed[e], comp[e] = _kahan(consumed[e], comp[e],
-                                              (rx,) * got[e])
-        return tx_billed, rx_billed
+                finite_ends.append((e, got[e], got[e] * rx))
+        return LegPlan(rx, relays, finite_ends, tx_billed, rx_billed,
+                       hop_energy)
 
     def _record_death(self, node: int, round_no: int) -> None:
         self.death_rounds[node] = round_no
         if self.first_death_round is None:
             self.first_death_round = round_no
 
-
-def _kahan(consumed: float, comp: float, charges) -> Tuple[float, float]:
-    """`consumed` and its compensation after `debit`'s Kahan step for each
-    of `charges` in turn."""
-    for v in charges:
-        y = v - comp
-        t = consumed + y
-        comp = (t - consumed) - y
-        consumed = t
-    return consumed, comp

@@ -4,9 +4,11 @@ Stage order is fixed: priority (out-of-band severity) -> opinion
 (plausibility + informativeness vs per-source history) -> review (neighbor
 consensus) -> sentiment (symbolic rescue rule + linear classifier). Each
 stage returns (kept, dropped) and only ever shrinks its input: a kept reading
-is the input reading with that stage's score set via `_replace`, a dropped
-one is the input reading itself and never reappears. `run_pipeline` records
-each drop once, with its stage, in `StageTrace.drops`.
+is a copy of the input reading with that stage's score set, and a dropped one
+is the input reading itself and never reappears. The copy is built with the
+positional `SensorReading(...)` constructor, which costs about half of
+`_replace`: a run makes one copy per kept reading per stage. `run_pipeline`
+records each drop once, with its stage, in `StageTrace.drops`.
 
 The thresholds are the scenario's staircase keys: every stage reads them
 from the `ScenarioConfig` it is given as `cfg`.
@@ -67,7 +69,8 @@ def priority_analysis(readings: Sequence[SensorReading],
     for r in readings:
         score = max(0.0, (r.value - cfg.band_hi) / w, (cfg.band_lo - r.value) / w)
         if score >= cfg.theta_p:
-            kept.append(r._replace(priority_score=score))
+            kept.append(SensorReading(r.source, r.round, r.value, score,
+                                      r.opinion_deviation, r.consensus_ratio))
         else:
             dropped.append(r)
     return kept, dropped
@@ -91,7 +94,9 @@ def opinion_analysis(readings: Sequence[SensorReading],
             deviation = cfg.band_width  # cold start always passes
             ok = True
         if ok:
-            kept.append(r._replace(opinion_deviation=deviation))
+            kept.append(SensorReading(r.source, r.round, r.value,
+                                      r.priority_score, deviation,
+                                      r.consensus_ratio))
         else:
             dropped.append(r)
     return kept, dropped
@@ -113,7 +118,9 @@ def review_analysis(readings: Sequence[SensorReading],
         else:
             ratio = 1.0  # sparse region: nobody to contradict the reading
         if ratio >= cfg.quorum_q:
-            kept.append(r._replace(consensus_ratio=ratio))
+            kept.append(SensorReading(r.source, r.round, r.value,
+                                      r.priority_score, r.opinion_deviation,
+                                      ratio))
         else:
             dropped.append(r)
     return kept, dropped

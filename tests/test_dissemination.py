@@ -151,33 +151,50 @@ def kahan_sum(charges):
 
 def send_leg(make, energy, rounds, decline=False, radio=RADIO):
     """Send one reading from each route's origin, `rounds` times, as one leg
-    a round; with `decline`, carry_leg bills nothing, so every packet goes
-    through carry. Returns the ledger, the report, each round's
-    (hops, delivered, lost) and the arguments of every carry call."""
+    a round; see `send_legs`."""
     t, ledger, routes = make(energy)
+    return send_legs(t, ledger, [(routes, 1, rounds)], decline, radio)
+
+
+def send_legs(t, ledger, steps, decline=False, radio=RADIO):
+    """For each step `(routes, size, rounds)` in turn, send `size` readings
+    from each route's origin, `rounds` times, as one leg a round, on one
+    ledger; with `decline`, carry_leg bills nothing, so every packet goes
+    through carry. Returns the ledger, the report, each round's
+    (hops, delivered, lost), the arguments of every carry call and the
+    number of leg plans built."""
     report = MetricsReport()
-    carried = []
+    carried, plans = [], []
     with pytest.MonkeyPatch.context() as mp:
         if decline:
             mp.setattr(EnergyLedger, "carry_leg", lambda *args: None)
-        carry = EnergyLedger.carry
+        carry, plan_leg = EnergyLedger.carry, EnergyLedger._plan_leg
 
         def counted(self, *args):
             carried.append(args)
             return carry(self, *args)
+
+        def counted_plan(self, *args):
+            plans.append(args)
+            return plan_leg(self, *args)
         mp.setattr(EnergyLedger, "carry", counted)
-        sent = []
-        for rnd in range(rounds):
-            flows = [(r, [SensorReading(source=r[0], round=rnd, value=1.0)])
-                     for r in routes]
-            hops, delivered, lost = send_along(flows, t, radio, ledger, report,
-                                               round_no=rnd)
-            sent.append((list(hops), delivered, lost))
-    return ledger, report, sent, carried
+        mp.setattr(EnergyLedger, "_plan_leg", counted_plan)
+        sent, rnd = [], 0
+        for routes, size, rounds in steps:
+            for _ in range(rounds):
+                flows = [(r, [SensorReading(source=r[0], round=rnd,
+                                            value=float(i))
+                              for i in range(size)])
+                         for r in routes]
+                hops, delivered, lost = send_along(flows, t, radio, ledger,
+                                                   report, round_no=rnd)
+                sent.append((list(hops), delivered, lost))
+                rnd += 1
+    return ledger, report, sent, carried, len(plans)
 
 
 def assert_same_outcome(a, b):
-    (la, ra, sa, _), (lb, rb, sb, _) = a, b
+    (la, ra, sa, _, _), (lb, rb, sb, _, _) = a, b
     assert la._consumed == lb._consumed
     assert la._comp == lb._comp
     assert la.death_rounds == lb.death_rounds
@@ -201,22 +218,44 @@ class TestPerNodeBilling:
                                        1.0 + 2 * GUARD_BAND],
                              ids=["ends_empty", "inside_band", "outside_band"])
     def test_guard_band(self, share):
-        # relay 1 sends its own packet, then dies or nearly so relaying
-        # 0's: its battery is `share` times the leg's Kahan sum
+        # relay 1 sends its own packet, then relays 0's, for 3 rounds on one
+        # plan; its battery is `share` times the Kahan sum of all 3 rounds,
+        # so only the last round can cross the band, and it dies or nearly
+        # so relaying 0's packet
         def make(energy):
             t, ledger = line_topology(4, spacing=10.0, energy=1.0)
             tx, rx = tx_cost(RADIO, 128, 10.0), rx_cost(RADIO, 128)
-            ledger._initial[1] = energy * kahan_sum([tx, rx, tx])
+            ledger._initial[1] = energy * kahan_sum([tx, rx, tx] * 3)
             return t, ledger, [[1, 2, 3], [0, 1, 2, 3]]
-        got = send_leg(make, share, rounds=1)
-        want = send_leg(make, share, rounds=1, decline=True)
+        got = send_leg(make, share, rounds=3)
+        want = send_leg(make, share, rounds=3, decline=True)
         assert_same_outcome(got, want)
-        ledger, _, [(_, _, lost)], carried = got
-        assert bool(carried) == (share < 1.0 + GUARD_BAND)
-        if share == 1.0:
-            assert ledger.death_rounds == {1: 0} and lost == 1
-        else:
-            assert ledger.death_rounds == {} and lost == 0
+        ledger, _, sent, carried, plans = got
+        assert plans == 1
+        declined = share < 1.0 + GUARD_BAND
+        assert {args[-1] for args in carried} == ({2} if declined else set())
+        assert [lost for _, _, lost in sent] == [0, 0, int(share == 1.0)]
+        assert ledger.death_rounds == ({1: 2} if share == 1.0 else {})
+
+    def test_plan_reused_until_routes_or_size_change(self):
+        # one ledger: 3 rounds on the same route lists, 2 on new lists
+        # that make another tree from the same origins, then 2 with two
+        # readings per packet
+        t, ledger, routes = tree_topology(0.37)
+        other = [[5, 6, 1, 2], [3, 0, 2], [4, 0, 2], [6, 1, 2], [7, 3, 0, 2]]
+        steps = [(routes, 1, 3), (other, 1, 2), (other, 2, 2)]
+        got = send_legs(t, ledger, steps)
+        t, ledger, _ = tree_topology(0.37)
+        want = send_legs(t, ledger, steps, decline=True)
+        assert_same_outcome(got, want)
+        _, report, sent, carried, plans = got
+        assert carried == [] and plans == 3
+        assert [len(hops) for hops, _, _ in sent] == [13] * 3 + [12] * 4
+        bits = [hops[0].packet.bits for hops, _, _ in sent]
+        assert bits == [packet_bits(1)] * 5 + [packet_bits(2)] * 2
+        assert report.total_bits_transmitted == (
+            13 * 3 * packet_bits(1) + 12 * 2 * packet_bits(1) +
+            12 * 2 * packet_bits(2))
 
     def test_seeded_random_legs_equal_per_packet(self):
         rng = random.Random(20153)

@@ -247,9 +247,11 @@ class TestHopTotals:
     def count_ledger_calls(monkeypatch, scenario):
         """Run `scenario`, counting send_along calls billed per node or
         declined by carry_leg, the flows and packets of calls billed per
-        packet, and the calls of legs, carry and debit."""
+        packet, and the calls of legs, carry, debit, the leg plan's route
+        walk and recompute_routes (set-up's included)."""
         calls = {"per_node": 0, "declined": 0, "flows": 0, "packets": 0,
-                 "legs": 0, "carry": 0, "debit": 0}
+                 "legs": 0, "carry": 0, "debit": 0, "_plan_leg": 0,
+                 "recompute_routes": 0}
         billed = []
         with monkeypatch.context() as mp:
             send_along = dissemination.send_along
@@ -277,7 +279,9 @@ class TestHopTotals:
             mp.setattr(EnergyLedger, "carry_leg", counted_carry_leg)
             for owner, name in ((topology.Topology, "legs"),
                                 (EnergyLedger, "carry"),
-                                (EnergyLedger, "debit")):
+                                (EnergyLedger, "debit"),
+                                (EnergyLedger, "_plan_leg"),
+                                (topology, "recompute_routes")):
                 def counted(*args, _name=name, _fn=getattr(owner, name)):
                     calls[_name] += 1
                     return _fn(*args)
@@ -288,8 +292,9 @@ class TestHopTotals:
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_one_ledger_call_per_packet(self, monkeypatch, mode):
         # leg 1 is billed per node in every round where it cannot empty a
-        # battery; legs 2 and 3, and leg 1 when it can, are billed per
-        # packet, with hop geometry once per flow; never per charge
+        # battery, with its routes walked once per route version; legs 2
+        # and 3, and leg 1 when it can, are billed per packet, with hop
+        # geometry once per flow; never per charge
         for make in (reference, draining):
             calls, r = self.count_ledger_calls(monkeypatch, make(mode))
             assert calls["per_node"] > 0
@@ -300,8 +305,12 @@ class TestHopTotals:
                 assert calls["per_node"] == r.rounds_completed
                 assert calls["declined"] == 0
                 assert (calls["carry"] == 0) == (mode == "baseline")
+                assert calls["_plan_leg"] == 1
             else:
                 assert calls["declined"] > 0
+                # one route version from set-up, one per recompute after
+                assert 1 <= calls["_plan_leg"] <= calls["recompute_routes"]
+                assert calls["recompute_routes"] > 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
