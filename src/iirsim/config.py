@@ -115,7 +115,8 @@ class ScenarioConfig:
             raise InvalidScenario("event_duration must be positive")
         if self.drift_period <= 0:
             raise InvalidScenario("drift_period must be positive")
-        # sense() takes the sine of this phase, which must stay finite
+        # GroundTruth.advance takes the sine of this phase, which must stay
+        # finite
         if not math.isfinite(2.0 * math.pi * max(self.rounds - 1, 0)
                              / self.drift_period):
             raise InvalidScenario("drift_period is too small for the rounds")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import tempfile
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple, Sequence, Tuple
 
 HEADER_BITS = 64
@@ -57,10 +58,13 @@ def packet_bits(n_readings: int) -> int:
     return HEADER_BITS + n_readings * READING_BITS
 
 
+_ROUND_SOURCE_VALUE = itemgetter(1, 0, 2)  # (r.round, r.source, r.value)
+
+
 def canonical_order(readings: Sequence[SensorReading]) -> list:
     """Stable sort by (round, source, value); the determinism anchor for
     every operation that iterates over a round's readings."""
-    return sorted(readings, key=lambda r: (r.round, r.source, r.value))
+    return sorted(readings, key=_ROUND_SOURCE_VALUE)
 
 
 def mix_seed(seed: int, salt: int) -> int:

@@ -10,10 +10,13 @@ then follow a fixed pattern, and replaying that pattern through the same
 Kahan steps gives the same floats, in the same order, as `carry` would for
 each packet in turn. The pattern depends only on the routes, so it is
 planned once per route version (a `LegPlan`: each sender's hop energy and
-relay counts, each node's closed-form leg total, every hop's billed joules);
-whether every battery can pay, and the billing itself, are worked out on
-every call. When some battery could run out it bills nothing, and the caller
-carries the leg packet by packet.
+relay counts, each node's closed-form leg total, every hop's billed joules,
+and its senders grouped into classes by pattern); whether every battery
+can pay, and the billing itself, are worked out on every call. A class's
+chain is replayed once per call and its end state given to every member
+that starts the call with the same balance; that comparison also runs on
+every call. When some battery could run out it bills nothing, and the
+caller carries the leg packet by packet.
 """
 from __future__ import annotations
 
@@ -52,10 +55,13 @@ def rx_cost(p: RadioParams, bits: int) -> float:
 class LegPlan(NamedTuple):
     """What `carry_leg` bills for one route version, every call the same."""
     rx: float  # each packet's receive charge
-    # (finite sender, tx, pairs before its own packet, pairs after, leg
-    # total), where a pair is (rx, tx); -1 pairs after when it sends no
-    # packet of its own. The leg total is the closed-form sum of its charges.
-    relays: List[Tuple[int, float, int, int, float]]
+    # (finite sender, leg total): the closed-form sum of its charges
+    relays: List[Tuple[int, float]]
+    # A sender's charges are its pattern (tx, pairs before its own packet,
+    # pairs after), where a pair is (rx, tx); -1 pairs after when it sends
+    # no packet of its own. (*pattern, senders) for each pattern, with the
+    # finite senders that have it.
+    classes: List[Tuple[float, int, int, List[int]]]
     # (finite last node, packets received, leg total)
     ends: List[Tuple[int, int, float]]
     # joules billed per hop at its sender's and its receiver's end, indexed
@@ -63,6 +69,32 @@ class LegPlan(NamedTuple):
     tx_billed: List[float]
     rx_billed: List[float]
     hop_energy: List[float]  # each hop's tx + rx billed, in hop order
+
+
+def _chain(c: float, m: float, rx: float, tx: float, k: int,
+           after: int) -> Tuple[float, float]:
+    """The (consumed, comp) that `debit`'s Kahan steps leave after a
+    sender's pattern of charges (see `LegPlan.classes`), from (c, m)."""
+    for _ in repeat(None, k):
+        y = rx - m
+        t = c + y
+        m = (t - c) - y
+        y = tx - m
+        c = t + y
+        m = (c - t) - y
+    if after >= 0:
+        y = tx - m
+        t = c + y
+        m = (t - c) - y
+        c = t
+        for _ in repeat(None, after):
+            y = rx - m
+            t = c + y
+            m = (t - c) - y
+            y = tx - m
+            c = t + y
+            m = (c - t) - y
+    return c, m
 
 
 class EnergyLedger:
@@ -233,37 +265,28 @@ class EnergyLedger:
         initial, consumed, comp = self._initial, self._consumed, self._comp
         band = 1.0 + GUARD_BAND
         # An empty, NaN or too small battery fails the check.
-        for a, _, _, _, total in plan.relays:
+        for a, total in plan.relays:
             if not (consumed[a] + total) * band < initial[a]:
                 return None
         for e, _, total in plan.ends:
             if not (consumed[e] + total) * band < initial[e]:
                 return None
 
-        # debit's Kahan step, once per charge of each node's pattern.
+        # debit's Kahan step, once per charge of a class's pattern. No
+        # node's charges depend on another's, so members with equal balances
+        # end equal. A NaN balance never compares equal, and the battery
+        # check above has turned it away already.
         rx = plan.rx
-        for a, tx, k, after, _ in plan.relays:
-            c, m = consumed[a], comp[a]
-            for _ in repeat(None, k):
-                y = rx - m
-                t = c + y
-                m = (t - c) - y
-                y = tx - m
-                c = t + y
-                m = (c - t) - y
-            if after >= 0:
-                y = tx - m
-                t = c + y
-                m = (t - c) - y
-                c = t
-                for _ in repeat(None, after):
-                    y = rx - m
-                    t = c + y
-                    m = (t - c) - y
-                    y = tx - m
-                    c = t + y
-                    m = (c - t) - y
-            consumed[a], comp[a] = c, m
+        for tx, k, after, members in plan.classes:
+            first = members[0]
+            c0, m0 = consumed[first], comp[first]
+            c1, m1 = _chain(c0, m0, rx, tx, k, after)
+            for a in members:
+                c, m = consumed[a], comp[a]
+                if c == c0 and m == m0:
+                    consumed[a], comp[a] = c1, m1
+                else:
+                    consumed[a], comp[a] = _chain(c, m, rx, tx, k, after)
         for e, k, _ in plan.ends:
             c, m = consumed[e], comp[e]
             for _ in repeat(None, k):
@@ -322,22 +345,26 @@ class EnergyLedger:
         # A relay is charged (rx, tx) per packet it relays before its own,
         # tx for its own, then (rx, tx) per packet after; a route's last
         # node rx per packet.
-        relays: List[Tuple[int, float, int, int, float]] = []
+        relays: List[Tuple[int, float]] = []
+        patterns: Dict[Tuple[float, int, int], List[int]] = {}
         for a in senders:
             if initial[a] != inf:
                 tx, relayed, k = tx_billed[a], got[a], before[a]
                 if k >= 0:
-                    relays.append((a, tx, k, relayed - k,
-                                   relayed * (rx + tx) + tx))
+                    after, total = relayed - k, relayed * (rx + tx) + tx
                 else:
-                    relays.append((a, tx, relayed, -1, relayed * (rx + tx)))
+                    k, after, total = relayed, -1, relayed * (rx + tx)
+                relays.append((a, total))
+                patterns.setdefault((tx, k, after), []).append(a)
+        classes = [(*pattern, members)
+                   for pattern, members in patterns.items()]
         finite_ends: List[Tuple[int, int, float]] = []
         for e in ends:
             if recv[e] >= 0:
                 return None
             if initial[e] != inf:
                 finite_ends.append((e, got[e], got[e] * rx))
-        return LegPlan(rx, relays, finite_ends, tx_billed, rx_billed,
+        return LegPlan(rx, relays, classes, finite_ends, tx_billed, rx_billed,
                        hop_energy)
 
     def _record_death(self, node: int, round_no: int) -> None:

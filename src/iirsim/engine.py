@@ -48,6 +48,8 @@ class GroundTruth:
 
     `magnitude` holds the current round only: each sensor inside at least
     one active event, mapped to the summed magnitude of those events.
+    `base` is the current round's field without noise or events: the base
+    field plus the round's sinusoidal drift.
     """
 
     def __init__(self, scenario: ScenarioConfig, topo: topo_mod.Topology):
@@ -57,9 +59,13 @@ class GroundTruth:
                          if n.role is topo_mod.NodeRole.SENSOR]
         self._active: List[_Event] = []
         self.magnitude: Dict[int, float] = {}
+        self.base = math.nan  # set by advance
 
     def advance(self, round_no: int, rng: random.Random) -> None:
-        """Move the events on to round `round_no` and rebuild `magnitude`."""
+        """Move the field on to round `round_no`: its `base` and, from the
+        events, its `magnitude`."""
+        self.base = self._sc.field_base + self._sc.drift_amplitude * math.sin(
+            2.0 * math.pi * round_no / self._sc.drift_period)
         self._active = [e for e in self._active if e.remaining > 0]
         # one draw per round regardless of rate, to keep streams aligned
         spawn = rng.random() < self._sc.event_rate
@@ -70,6 +76,8 @@ class GroundTruth:
                                        self._sc.event_duration))
         radius = self._sc.event_radius
         self.magnitude = {}
+        if not self._active:
+            return
         for node, (px, py) in self._sensors:
             inside = [e.magnitude for e in self._active
                       if math.hypot(px - e.x, py - e.y) <= radius]
@@ -81,16 +89,17 @@ class GroundTruth:
 
 def sense(node: int, round_no: int, scenario: ScenarioConfig,
           ground_truth: GroundTruth, rng: random.Random) -> SensorReading:
-    """One sample: base field + sinusoidal drift + noise + event bump."""
-    drift = scenario.drift_amplitude * math.sin(
-        2.0 * math.pi * round_no / scenario.drift_period)
-    noise = rng.gauss(0.0, scenario.noise_sigma)
-    value = (scenario.field_base + drift + noise
+    """One sample: base field + sinusoidal drift + noise + event bump.
+
+    `ground_truth` must have been advanced to `round_no`: the base field and
+    drift come from its `base`, the bump from its `magnitude`.
+    """
+    value = ((ground_truth.base + rng.gauss(0.0, scenario.noise_sigma))
              + ground_truth.magnitude.get(node, 0.0))
     if not math.isfinite(value):
         raise InvalidScenario(f"sensed value {value} at node {node} in round "
                               f"{round_no} is not finite")
-    return SensorReading(source=node, round=round_no, value=value)
+    return SensorReading(node, round_no, value)
 
 
 @dataclass

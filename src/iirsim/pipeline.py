@@ -109,15 +109,17 @@ def review_analysis(readings: Sequence[SensorReading],
     for c in round_context:
         by_source.setdefault(c.source, []).append(c.value)
     adjacency, alive = topology.adjacency, topology.alive
+    tau_r, quorum_q = cfg.tau_r, cfg.quorum_q
     kept, dropped = [], []
     for r in readings:
         peers = [v for s in adjacency[r.source] if s in alive
                  for v in by_source.get(s, ())]
         if peers:
-            ratio = sum(1 for v in peers if abs(v - r.value) <= cfg.tau_r) / len(peers)
+            value = r.value
+            ratio = sum(1 for v in peers if abs(v - value) <= tau_r) / len(peers)
         else:
             ratio = 1.0  # sparse region: nobody to contradict the reading
-        if ratio >= cfg.quorum_q:
+        if ratio >= quorum_q:
             kept.append(SensorReading(r.source, r.round, r.value,
                                       r.priority_score, r.opinion_deviation,
                                       ratio))

@@ -141,6 +141,27 @@ def line_leg(energy):
     return t, ledger, [list(range(i, 6)) for i in range(5)]
 
 
+def lattice_leg(energy):
+    """Four chains of three sensors, 9 m apart along the axes, each send one
+    packet to the sink at their common end: the sensors at one distance
+    from the sink share their hop energy and relay counts, and those at
+    every distance share their hop energy."""
+    axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    pos = [(0.0, 0.0)] + [(dx * 9.0 * i, dy * 9.0 * i)
+                          for dx, dy in axes for i in (1, 2, 3)]
+    nodes = [Node(i, NodeRole.SINK if i == 0 else NodeRole.SENSOR, p)
+             for i, p in enumerate(pos)]
+    t = Topology(nodes=nodes, comm_radius=9.0,
+                 adjacency={i: set() for i in range(len(pos))},
+                 alive=set(range(len(pos))), sink=0, sub_sink=None,
+                 aggregators=())
+    ledger = EnergyLedger({i: (math.inf if i == 0 else energy)
+                           for i in range(len(pos))})
+    routes = [list(range(j + i, j, -1)) + [0]
+              for j in range(0, 12, 3) for i in (3, 2, 1)]
+    return t, ledger, routes
+
+
 def kahan_sum(charges):
     """The balance `debit` leaves after `charges`, from empty."""
     ledger = EnergyLedger({0: 1.0})
@@ -204,6 +225,61 @@ def assert_same_outcome(a, b):
     assert sa == sb
 
 
+def uniform_spot(rng):
+    return (rng.uniform(0, 40), rng.uniform(0, 40))
+
+
+def lattice_spot(rng):
+    return (rng.randrange(5) * 10.0, rng.randrange(5) * 10.0)
+
+
+def check_random_legs(rng, spot, legs=150):
+    """Send `legs` random legs from `rng`, each node placed at `spot(rng)`,
+    4 rounds each, and assert each equals its per-packet twin. Returns the
+    set of (declined, deaths) seen and the plans of the legs billed per
+    node."""
+    outcomes, plans = set(), []
+    for _ in range(legs):
+        n = rng.randint(2, 12)
+        energy = rng.choice((1.0, 2e-3, 3e-4))
+        radio = RadioParams(e_elec=rng.uniform(1e-9, 1e-7),
+                            e_amp=rng.uniform(1e-12, 1e-9))
+        # a forest toward lower ids; some origins repeat, some routes stop
+        # short, some nodes start empty or infinite
+        up = [rng.randrange(-1, i) for i in range(n)]
+        origins = rng.sample(range(n), rng.randint(2, n))
+        if rng.random() < 0.2:
+            origins.append(rng.choice(origins))
+        stop = 0.3 if rng.random() < 0.3 else 0.0
+        routes = []
+        for o in origins:
+            route = [o]
+            while up[route[-1]] >= 0 and rng.random() >= stop:
+                route.append(up[route[-1]])
+            routes.append(route)
+        initial = [rng.choice((math.inf, energy * rng.random(), energy,
+                               energy, energy, energy))
+                   for _ in range(n)]
+        if rng.random() < 0.1:
+            initial[rng.randrange(n)] = 0.0
+        nodes = [Node(i, NodeRole.SENSOR, spot(rng)) for i in range(n)]
+
+        def make(_, routes=routes, initial=initial, nodes=nodes):
+            t = Topology(nodes=nodes, comm_radius=40.0,
+                         adjacency={i: set() for i in range(len(nodes))},
+                         alive=set(range(len(nodes))), sink=0,
+                         sub_sink=None, aggregators=())
+            return t, EnergyLedger(dict(enumerate(initial))), routes
+        got = send_leg(make, None, rounds=4, radio=radio)
+        want = send_leg(make, None, rounds=4, radio=radio, decline=True)
+        assert_same_outcome(got, want)
+        carried, deaths = bool(got[3]), bool(got[0].death_rounds)
+        outcomes.add((carried, deaths))
+        if not carried:
+            plans.append(got[0]._last_leg[4])
+    return outcomes, plans
+
+
 class TestPerNodeBilling:
     @pytest.mark.parametrize("make", [line_leg, tree_topology])
     def test_equals_per_packet_carry(self, make):
@@ -257,49 +333,38 @@ class TestPerNodeBilling:
             13 * 3 * packet_bits(1) + 12 * 2 * packet_bits(1) +
             12 * 2 * packet_bits(2))
 
-    def test_seeded_random_legs_equal_per_packet(self):
-        rng = random.Random(20153)
-        outcomes = set()
-        for _ in range(150):
-            n = rng.randint(2, 12)
-            energy = rng.choice((1.0, 2e-3, 3e-4))
-            radio = RadioParams(e_elec=rng.uniform(1e-9, 1e-7),
-                                e_amp=rng.uniform(1e-12, 1e-9))
-            # a forest toward lower ids; some origins repeat, some routes
-            # stop short, some nodes start empty or infinite
-            up = [rng.randrange(-1, i) for i in range(n)]
-            origins = rng.sample(range(n), rng.randint(2, n))
-            if rng.random() < 0.2:
-                origins.append(rng.choice(origins))
-            stop = 0.3 if rng.random() < 0.3 else 0.0
-            routes = []
-            for o in origins:
-                route = [o]
-                while up[route[-1]] >= 0 and rng.random() >= stop:
-                    route.append(up[route[-1]])
-                routes.append(route)
-            initial = [rng.choice((math.inf, energy * rng.random(), energy,
-                                   energy, energy, energy))
-                       for _ in range(n)]
-            if rng.random() < 0.1:
-                initial[rng.randrange(n)] = 0.0
-            nodes = [Node(i, NodeRole.SENSOR,
-                          (rng.uniform(0, 40), rng.uniform(0, 40)))
-                     for i in range(n)]
+    def test_shared_patterns_replayed_once_per_balance(self):
+        # sensor 5 shares its pattern with 2, 8 and 11, but a packet it
+        # sent to 4 in round 0, before the leg, leaves it (and 4) with
+        # another balance than the rest of its class
+        def make(energy):
+            t, ledger, routes = lattice_leg(energy)
+            ledger.carry(t.legs([5, 4]), packet_bits(1), RADIO, 0)
+            return t, ledger, routes
+        for rounds in range(1, 5):
+            got = send_leg(make, 0.37, rounds)
+            assert_same_outcome(got, send_leg(make, 0.37, rounds,
+                                              decline=True))
+            ledger, _, _, carried, _ = got
+            assert carried == [] and ledger.death_rounds == {}
+        plan = ledger._last_leg[4]
+        assert sorted(members for *_, members in plan.classes) == [
+            [1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]]
+        assert ledger._consumed[5] != ledger._consumed[2]
+        assert ledger._consumed[4] != ledger._consumed[1]
 
-            def make(_, routes=routes, initial=initial, nodes=nodes):
-                t = Topology(nodes=nodes, comm_radius=40.0,
-                             adjacency={i: set() for i in range(len(nodes))},
-                             alive=set(range(len(nodes))), sink=0,
-                             sub_sink=None, aggregators=())
-                return t, EnergyLedger(dict(enumerate(initial))), routes
-            got = send_leg(make, None, rounds=4, radio=radio)
-            want = send_leg(make, None, rounds=4, radio=radio, decline=True)
-            assert_same_outcome(got, want)
-            carried, deaths = bool(got[3]), bool(got[0].death_rounds)
-            outcomes.add((carried, deaths))
+    def test_seeded_random_legs_equal_per_packet(self):
+        outcomes, _ = check_random_legs(random.Random(20153), uniform_spot)
         # legs billed per node, and declined with and without deaths
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_seeded_lattice_legs_equal_per_packet(self):
+        # lattice points make equal hop lengths, so senders share patterns
+        outcomes, plans = check_random_legs(random.Random(20154),
+                                            lattice_spot)
+        assert outcomes == {(False, False), (True, False), (True, True)}
+        assert any(len(members) > 1
+                   for plan in plans for *_, members in plan.classes)
 
     def test_shared_sender_two_receivers_declines(self):
         t, ledger = line_topology(4)

@@ -7,6 +7,7 @@ import pytest
 
 from iirsim import dissemination, engine, metrics, pipeline, topology
 from iirsim.config import ScenarioConfig, parse_scenario
+from iirsim.core import SensorReading
 from iirsim.energy import EnergyLedger
 from iirsim.errors import InvalidScenario
 from iirsim.metrics import serialize
@@ -62,6 +63,33 @@ class TestSense:
         assert 0 in gt.magnitude  # node 0 gives an event reading in round 0
         r = engine.sense(0, 0, sc, gt, random.Random(0))
         assert r.value == pytest.approx(35.0)
+
+    def test_equals_the_per_reading_expression(self):
+        # advance computes the round's base once; every reading must still
+        # be base field + drift + noise + bump, summed left to right, with
+        # drift and noise drawn as a per-reading computation would
+        sc = small_grid(drift_amplitude=3.0, drift_period=7.0,
+                        noise_sigma=0.8, event_rate=0.3, event_duration=2,
+                        event_magnitude=4.0, event_radius=12.0)
+        topo = build_topology(sc, sc.seed)
+        gt = engine.GroundTruth(sc, topo)
+        rng, twin, events = random.Random(5), random.Random(5), random.Random(6)
+        quiet = bumped = 0
+        for rnd in range(20):
+            gt.advance(rnd, events)
+            if not gt._active:
+                assert gt.magnitude == {}
+                quiet += 1
+            for node in topo.sensors():
+                drift = sc.drift_amplitude * math.sin(
+                    2.0 * math.pi * rnd / sc.drift_period)
+                noise = twin.gauss(0.0, sc.noise_sigma)
+                bump = gt.magnitude.get(node, 0.0)
+                want = sc.field_base + drift + noise + bump
+                got = engine.sense(node, rnd, sc, gt, rng)
+                assert got == SensorReading(node, rnd, want)
+                bumped += bump != 0.0
+        assert quiet and bumped
 
     def test_non_finite_value_rejected(self):
         # each input is finite, their sum is not
