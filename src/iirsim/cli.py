@@ -8,7 +8,7 @@ import sys
 from typing import Optional
 
 from . import engine, metrics, pipeline
-from .config import ScenarioConfig, load_scenario, with_overrides
+from .config import MODES, ScenarioConfig, load_scenario, with_overrides
 from .core import _atomic_write
 from .errors import EmptyTrainingSet, SimError
 
@@ -127,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation")
     common(p_run)
     report_and_model(p_run)
-    p_run.add_argument("--mode", choices=("baseline", "framework"),
-                       default=None)
+    p_run.add_argument("--mode", choices=MODES, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare",

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Tuple, Union
 
 from .energy import E_AMP_DEFAULT, E_ELEC_DEFAULT, RadioParams
@@ -151,23 +151,13 @@ def _choice(options):
     return parse
 
 
-_PARSERS = {
-    "node_count": int, "placement": _choice(PLACEMENTS), "grid_spacing": float,
-    "area_size": float, "comm_radius": float,
-    "sink_id": int, "sub_sink": _parse_sub_sink,
-    "aggregator_ids": _parse_id_list, "aggregator_every": int,
-    "rounds": int, "seed": int, "mode": _choice(MODES),
-    "e_elec": float, "e_amp": float, "initial_energy_j": float,
-    "field_base": float, "drift_amplitude": float, "drift_period": float,
-    "noise_sigma": float,
-    "event_rate": float, "event_radius": float, "event_magnitude": float,
-    "event_duration": int,
-    "dedup_enabled": _parse_bool, "dedup_eps": float,
-    "band_lo": float, "band_hi": float, "theta_p": float, "window_w": int,
-    "delta_o": float, "range_lo": float, "range_hi": float, "tau_r": float,
-    "quorum_q": float, "rescue_score": float,
-    "batch_cap": int,
-}
+# Each key's parser: by the field's type, except for keys with their own
+# format. A field of any other type fails here, at import.
+_KEY_PARSERS = {"placement": _choice(PLACEMENTS), "mode": _choice(MODES),
+                "sub_sink": _parse_sub_sink, "aggregator_ids": _parse_id_list}
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {f.name: _KEY_PARSERS.get(f.name) or _TYPE_PARSERS[f.type]
+            for f in fields(ScenarioConfig)}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

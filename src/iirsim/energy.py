@@ -9,14 +9,14 @@ instead of per hop, when no battery on it can run out: each node's charges
 then follow a fixed pattern, and replaying that pattern through the same
 Kahan steps gives the same floats, in the same order, as `carry` would for
 each packet in turn. The pattern depends only on the routes, so it is
-planned once per route version (a `LegPlan`: each sender's hop energy and
-relay counts, each node's closed-form leg total, every hop's billed joules,
-and its senders grouped into classes by pattern); whether every battery
-can pay, and the billing itself, are worked out on every call. A class's
-chain is replayed once per call and its end state given to every member
-that starts the call with the same balance; that comparison also runs on
-every call. When some battery could run out it bills nothing, and the
-caller carries the leg packet by packet.
+planned once per route version (a `LegPlan`: the finite senders grouped
+into classes by pattern, each class with the closed-form leg total of any
+one member, each route end's total, and every hop's billed joules);
+whether every battery can pay, and the billing itself, are worked out on
+every call. A class's chain is replayed once per call and its end state
+given to every member that starts the call with the same balance; that
+comparison also runs on every call. When some battery could run out it
+bills nothing, and the caller carries the leg packet by packet.
 """
 from __future__ import annotations
 
@@ -55,13 +55,13 @@ def rx_cost(p: RadioParams, bits: int) -> float:
 class LegPlan(NamedTuple):
     """What `carry_leg` bills for one route version, every call the same."""
     rx: float  # each packet's receive charge
-    # (finite sender, leg total): the closed-form sum of its charges
-    relays: List[Tuple[int, float]]
     # A sender's charges are its pattern (tx, pairs before its own packet,
     # pairs after), where a pair is (rx, tx); -1 pairs after when it sends
-    # no packet of its own. (*pattern, senders) for each pattern, with the
-    # finite senders that have it.
-    classes: List[Tuple[float, int, int, List[int]]]
+    # no packet of its own. (*pattern, leg total, senders) for each
+    # pattern: the closed-form sum of the pattern's charges, which the
+    # battery check reads for every member, and the finite senders that
+    # have it.
+    classes: List[Tuple[float, int, int, float, List[int]]]
     # (finite last node, packets received, leg total)
     ends: List[Tuple[int, int, float]]
     # joules billed per hop at its sender's and its receiver's end, indexed
@@ -110,10 +110,13 @@ class EnergyLedger:
         self._initial = dict(initial_by_node)
         self._consumed = {n: 0.0 for n in initial_by_node}
         self._comp = {n: 0.0 for n in initial_by_node}
-        self.death_rounds: Dict[int, int] = {}
-        self.first_death_round: Optional[int] = None
+        self.death_rounds: Dict[int, int] = {}  # node -> round, in death order
         # (routes, nodes, bits, radio, plan or None) of the last carry_leg
         self._last_leg: Optional[tuple] = None
+
+    @property
+    def first_death_round(self) -> Optional[int]:
+        return next(iter(self.death_rounds.values()), None)
 
     def remaining(self, node: int) -> float:
         init = self._initial[node]
@@ -144,7 +147,7 @@ class EnergyLedger:
             # Node completes this one event, then dies; battery pins to empty.
             self._consumed[node] = init
             self._comp[node] = 0.0
-            self._record_death(node, round_no)
+            self.death_rounds[node] = round_no
             return remaining
         # Kahan step keeps long debit chains reconcilable bit-for-bit.
         y = amount - self._comp[node]
@@ -152,7 +155,7 @@ class EnergyLedger:
         self._comp[node] = (t - consumed) - y
         self._consumed[node] = t
         if not t < init:  # rounding emptied the battery
-            self._record_death(node, round_no)
+            self.death_rounds[node] = round_no
         return amount
 
     def carry(self, legs: Sequence[Tuple[int, int, float]], bits: int,
@@ -221,11 +224,11 @@ class EnergyLedger:
             died = False
             if not consumed[a] < initial[a]:
                 killed.append(a)
-                self._record_death(a, round_no)
+                self.death_rounds[a] = round_no
                 died = True
             if not consumed[b] < initial[b]:
                 killed.append(b)
-                self._record_death(b, round_no)
+                self.death_rounds[b] = round_no
                 died = True
             if died and b != last:
                 return billed, False, killed
@@ -247,7 +250,9 @@ class EnergyLedger:
         The routes decide everything but the balances, so their `LegPlan`
         is built once and kept until a call passes other route list objects
         (or other `nodes`, `bits` or `radio`); routes are never changed in
-        place. The battery check and the billing run on every call.
+        place. The battery check, which tests each class's leg total
+        against every member's balance and each end's total against its
+        own, and the billing run on every call.
 
         Returns the plan, whose `tx_billed`, `rx_billed` and `hop_energy`
         give the joules billed per hop.
@@ -265,9 +270,10 @@ class EnergyLedger:
         initial, consumed, comp = self._initial, self._consumed, self._comp
         band = 1.0 + GUARD_BAND
         # An empty, NaN or too small battery fails the check.
-        for a, total in plan.relays:
-            if not (consumed[a] + total) * band < initial[a]:
-                return None
+        for _, _, _, total, members in plan.classes:
+            for a in members:
+                if not (consumed[a] + total) * band < initial[a]:
+                    return None
         for e, _, total in plan.ends:
             if not (consumed[e] + total) * band < initial[e]:
                 return None
@@ -277,7 +283,7 @@ class EnergyLedger:
         # end equal. A NaN balance never compares equal, and the battery
         # check above has turned it away already.
         rx = plan.rx
-        for tx, k, after, members in plan.classes:
+        for tx, k, after, _, members in plan.classes:
             first = members[0]
             c0, m0 = consumed[first], comp[first]
             c1, m1 = _chain(c0, m0, rx, tx, k, after)
@@ -345,30 +351,25 @@ class EnergyLedger:
         # A relay is charged (rx, tx) per packet it relays before its own,
         # tx for its own, then (rx, tx) per packet after; a route's last
         # node rx per packet.
-        relays: List[Tuple[int, float]] = []
         patterns: Dict[Tuple[float, int, int], List[int]] = {}
         for a in senders:
             if initial[a] != inf:
                 tx, relayed, k = tx_billed[a], got[a], before[a]
-                if k >= 0:
-                    after, total = relayed - k, relayed * (rx + tx) + tx
-                else:
-                    k, after, total = relayed, -1, relayed * (rx + tx)
-                relays.append((a, total))
-                patterns.setdefault((tx, k, after), []).append(a)
-        classes = [(*pattern, members)
-                   for pattern, members in patterns.items()]
+                pattern = (tx, k, relayed - k) if k >= 0 else (tx, relayed, -1)
+                patterns.setdefault(pattern, []).append(a)
+        classes = []
+        for (tx, k, after), members in patterns.items():
+            if after >= 0:
+                total = (k + after) * (rx + tx) + tx
+            else:
+                total = k * (rx + tx)
+            classes.append((tx, k, after, total, members))
         finite_ends: List[Tuple[int, int, float]] = []
         for e in ends:
             if recv[e] >= 0:
                 return None
             if initial[e] != inf:
                 finite_ends.append((e, got[e], got[e] * rx))
-        return LegPlan(rx, relays, classes, finite_ends, tx_billed, rx_billed,
+        return LegPlan(rx, classes, finite_ends, tx_billed, rx_billed,
                        hop_energy)
-
-    def _record_death(self, node: int, round_no: int) -> None:
-        self.death_rounds[node] = round_no
-        if self.first_death_round is None:
-            self.first_death_round = round_no
 

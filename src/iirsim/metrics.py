@@ -2,47 +2,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from .core import STAGE_OPINION, STAGE_PRIORITY, STAGE_REVIEW, STAGE_SENTIMENT
+from .core import STAGES
 
 if TYPE_CHECKING:
     from .pipeline import StageTrace
 
-# Fixed CSV column order; also the JSON field set.
-COLUMNS = [
-    "mode",
-    "rounds_completed",
-    "readings_generated",
-    "readings_after_dedup",
-    "readings_after_priority",
-    "readings_after_opinion",
-    "readings_after_review",
-    "readings_after_sentiment",
-    "readings_delivered_to_sink",
-    "readings_lost_in_transit",
-    "total_bits_transmitted",
-    "total_energy_consumed_j",
-    "per_node_energy_remaining_j",
-    "first_node_death_round",
-    "network_death_round",
-    "selectivity",
-    "mean_hop_count",
-    "event_recall",
-    "false_forward_rate",
-]
-
-_STAGE_FIELD = {
-    STAGE_PRIORITY: "readings_after_priority",
-    STAGE_OPINION: "readings_after_opinion",
-    STAGE_REVIEW: "readings_after_review",
-    STAGE_SENTIMENT: "readings_after_sentiment",
-}
-
 
 @dataclass
 class MetricsReport:
+    # The compared fields, in declaration order, are the CSV columns in
+    # order and the JSON field set.
     mode: str = "framework"
     rounds_completed: int = 0
     readings_generated: int = 0
@@ -79,6 +51,10 @@ class MetricsReport:
             comp = (t - total) - y
             total = t
         self.total_energy_consumed_j, self._energy_comp = total, comp
+
+
+COLUMNS = [f.name for f in fields(MetricsReport) if f.compare]
+_STAGE_FIELD = {s: f"readings_after_{s}" for s in STAGES}
 
 
 def record(report: MetricsReport, item: "StageTrace") -> MetricsReport:

@@ -57,6 +57,41 @@ class TestParse:
         with pytest.raises(InvalidValue):
             parse_scenario("dedup_enabled = yes\n")
 
+    def test_every_key_round_trips(self):
+        # key: (text in the file, value), every value off its default and
+        # every float written with a fraction, so that each key's parser,
+        # its result type included, is pinned
+        cases = {
+            "node_count": ("64", 64), "placement": ("uniform", "uniform"),
+            "grid_spacing": ("12.5", 12.5), "area_size": ("80.5", 80.5),
+            "comm_radius": ("18.25", 18.25), "sink_id": ("3", 3),
+            "sub_sink": ("7", 7), "aggregator_ids": ("4, 9,11", (4, 9, 11)),
+            "aggregator_every": ("5", 5), "rounds": ("30", 30),
+            "seed": ("9", 9), "mode": ("baseline", "baseline"),
+            "e_elec": ("4.5e-8", 4.5e-8), "e_amp": ("2.5e-10", 2.5e-10),
+            "initial_energy_j": ("0.75", 0.75), "field_base": ("21.5", 21.5),
+            "drift_amplitude": ("1.5", 1.5), "drift_period": ("40.5", 40.5),
+            "noise_sigma": ("0.25", 0.25), "event_rate": ("0.2", 0.2),
+            "event_radius": ("15.5", 15.5),
+            "event_magnitude": ("12.5", 12.5), "event_duration": ("3", 3),
+            "dedup_enabled": ("false", False), "dedup_eps": ("0.05", 0.05),
+            "band_lo": ("18.5", 18.5), "band_hi": ("32.5", 32.5),
+            "theta_p": ("0.2", 0.2), "window_w": ("6", 6),
+            "delta_o": ("0.75", 0.75), "range_lo": ("-10.5", -10.5),
+            "range_hi": ("60.5", 60.5), "tau_r": ("1.5", 1.5),
+            "quorum_q": ("0.4", 0.4), "rescue_score": ("0.5", 0.5),
+            "batch_cap": ("8", 8),
+        }
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(ScenarioConfig)}
+        assert set(cases) == set(defaults)
+        assert all(value != defaults[k] for k, (_, value) in cases.items())
+        sc = parse_scenario("".join(f"{k} = {text}\n"
+                                    for k, (text, _) in cases.items()))
+        assert sc == ScenarioConfig(**{k: v for k, (_, v) in cases.items()})
+        for key, (_, value) in cases.items():
+            assert type(getattr(sc, key)) is type(value), key
+
 
 class TestValidate:
     def test_defaults_valid(self):

@@ -353,6 +353,23 @@ class TestPerNodeBilling:
         assert ledger._consumed[5] != ledger._consumed[2]
         assert ledger._consumed[4] != ledger._consumed[1]
 
+    def test_guard_checks_every_class_member(self):
+        # sensor 8, third of the class [2, 5, 8, 11], has a battery of half
+        # the leg's charges to it, (rx, tx) for 9's packet then tx for its
+        # own: the leg is declined, and 8 dies relaying 9's packet
+        def make(energy):
+            t, ledger, routes = lattice_leg(energy)
+            tx = tx_cost(RADIO, packet_bits(1), 9.0)
+            ledger._initial[8] = kahan_sum([rx_cost(RADIO, packet_bits(1)),
+                                            tx, tx]) / 2
+            return t, ledger, routes
+        got = send_leg(make, 0.37, rounds=1)
+        assert_same_outcome(got, send_leg(make, 0.37, rounds=1, decline=True))
+        ledger, _, _, carried, _ = got
+        assert carried and ledger.death_rounds == {8: 0}
+        plan = ledger._last_leg[4]
+        assert [2, 5, 8, 11] in [members for *_, members in plan.classes]
+
     def test_seeded_random_legs_equal_per_packet(self):
         outcomes, _ = check_random_legs(random.Random(20153), uniform_spot)
         # legs billed per node, and declined with and without deaths
