@@ -23,7 +23,7 @@ class ScenarioConfig:
     comm_radius: float = 15.0
     # roles
     sink_id: int = 0
-    sub_sink: Union[int, str, None] = "auto"   # node id, "auto", or "none"
+    sub_sink: Union[int, str, None] = "auto"   # node id, "auto", or None
     aggregator_ids: Tuple[int, ...] = ()
     aggregator_every: int = 11
     # run
@@ -105,6 +105,18 @@ class ScenarioConfig:
             raise InvalidScenario("aggregator_every must be non-negative")
         if len(set(self.aggregator_ids)) != len(self.aggregator_ids):
             raise InvalidScenario("aggregator_ids must not repeat an id")
+        n, sink, sub = self.node_count, self.sink_id, self.sub_sink
+        if not 0 <= sink < n:
+            raise InvalidScenario("sink_id out of range")
+        if sub not in ("auto", None) and not isinstance(sub, int):
+            raise InvalidScenario("sub_sink must be a node id, 'auto' or None")
+        if isinstance(sub, int) and (not 0 <= sub < n or sub == sink):
+            raise InvalidScenario("sub_sink conflicts with sink or is out of range")
+        if sub is None and self.mode == "framework":
+            raise InvalidScenario("framework mode requires a sub-sink")
+        for a in self.aggregator_ids:
+            if not 0 <= a < n:
+                raise InvalidScenario(f"aggregator id {a} out of range")
         if self.window_w < 1:
             raise InvalidScenario("window_w must be positive")
         if self.window_w > sys.maxsize:  # a history deque's maxlen

@@ -1,8 +1,8 @@
 """First-order radio energy model and per-node battery accounting.
 
 `EnergyLedger.carry` bills a whole packet's route in one call, hop by hop
-exactly as `alive`, `debit`, `tx_cost` and `rx_cost` would; those stay as the
-single-charge reference that tests compare it against.
+exactly as `remaining`, `debit`, `tx_cost` and `rx_cost` would; those stay as
+the single-charge reference that tests compare it against.
 
 `EnergyLedger.carry_leg` bills a whole leg of one-packet flows per node
 instead of per hop, when no battery on it can run out: each node's charges
@@ -124,11 +124,6 @@ class EnergyLedger:
             return init
         return max(0.0, init - self._consumed[node])
 
-    def alive(self, node: int) -> bool:
-        # Same answer as remaining(node) > 0, including infinite, NaN and
-        # zero initial energy, in one comparison.
-        return self._consumed[node] < self._initial[node]
-
     def finite_nodes(self) -> list:
         return sorted(n for n, e in self._initial.items() if not math.isinf(e))
 
@@ -164,9 +159,9 @@ class EnergyLedger:
 
         Each hop is billed exactly as `debit(sender, tx_cost(radio, bits, d))`
         then `debit(receiver, rx_cost(radio, bits))`, made only if both ends
-        are `alive` before it. The packet stops before a hop with a dead end,
-        and after a hop that kills its sender or a receiver other than the
-        last one. The radio constants must be positive and finite (as
+        have energy `remaining` before it. The packet stops before a hop with
+        a dead end, and after a hop that kills its sender or a receiver other
+        than the last one. The radio constants must be positive and finite (as
         `ScenarioConfig.validate` ensures) and `bits` positive, so every
         charge is positive.
 

@@ -35,19 +35,13 @@ _EVENT_SALT = 0xE4E47
 TRAIN_SEED_OFFSET = 7919  # warm-up labeling run uses seed + this
 
 
-@dataclass
-class _Event:
-    x: float
-    y: float
-    magnitude: float
-    remaining: int
-
-
 class GroundTruth:
     """Injected field events; visible to labeling and metrics only.
 
-    `magnitude` holds the current round only: each sensor inside at least
-    one active event, mapped to the summed magnitude of those events.
+    Each active event is an `(x, y, end_round)` tuple, active up to but not
+    including `end_round`. `magnitude` holds the current round only: each
+    sensor inside at least one active event, mapped to the summed magnitude
+    of those events.
     `base` is the current round's field without noise or events: the base
     field plus the round's sinusoidal drift.
     """
@@ -57,7 +51,7 @@ class GroundTruth:
         self._extent = topo.extent()
         self._sensors = [(n.id, n.pos) for n in topo.nodes
                          if n.role is topo_mod.NodeRole.SENSOR]
-        self._active: List[_Event] = []
+        self._active: List[Tuple[float, float, int]] = []
         self.magnitude: Dict[int, float] = {}
         self.base = math.nan  # set by advance
 
@@ -66,25 +60,22 @@ class GroundTruth:
         events, its `magnitude`."""
         self.base = self._sc.field_base + self._sc.drift_amplitude * math.sin(
             2.0 * math.pi * round_no / self._sc.drift_period)
-        self._active = [e for e in self._active if e.remaining > 0]
+        self._active = [e for e in self._active if e[2] > round_no]
         # one draw per round regardless of rate, to keep streams aligned
         spawn = rng.random() < self._sc.event_rate
         if spawn:
             x = rng.uniform(0.0, max(self._extent[0], 1.0))
             y = rng.uniform(0.0, max(self._extent[1], 1.0))
-            self._active.append(_Event(x, y, self._sc.event_magnitude,
-                                       self._sc.event_duration))
-        radius = self._sc.event_radius
+            self._active.append((x, y, round_no + self._sc.event_duration))
+        radius, mag = self._sc.event_radius, self._sc.event_magnitude
         self.magnitude = {}
         if not self._active:
             return
         for node, (px, py) in self._sensors:
-            inside = [e.magnitude for e in self._active
-                      if math.hypot(px - e.x, py - e.y) <= radius]
+            inside = [mag for x, y, _ in self._active
+                      if math.hypot(px - x, py - y) <= radius]
             if inside:
                 self.magnitude[node] = sum(inside)
-        for e in self._active:
-            e.remaining -= 1
 
 
 def sense(node: int, round_no: int, scenario: ScenarioConfig,
@@ -113,10 +104,9 @@ class _Run:
     def __init__(self, scenario: ScenarioConfig,
                  model: Optional[ClassifierModel],
                  keep_delivered: bool, collect_training: bool):
-        scenario.validate()
         self.sc = scenario
         self.model = model
-        self.topo = topo_mod.build_topology(scenario, scenario.seed)
+        self.topo = topo_mod.build_topology(scenario)
         self.sensors = sorted(self.topo.sensors())
         self.radio = scenario.radio()
         self.ledger = EnergyLedger({

@@ -54,31 +54,28 @@ class Topology:
         return [n.id for n in self.nodes if n.role is NodeRole.SENSOR]
 
 
-def _positions(scenario: "ScenarioConfig", seed: int) -> List[Tuple[float, float]]:
+def _positions(scenario: "ScenarioConfig") -> List[Tuple[float, float]]:
     n = scenario.node_count
     s = scenario.grid_spacing
-    if scenario.placement == "grid":
-        side = math.ceil(math.sqrt(n))
-        return [((i % side) * s, (i // side) * s) for i in range(n)]
     if scenario.placement == "line":
         return [(i * s, 0.0) for i in range(n)]
-    if scenario.placement == "uniform":
-        side = math.ceil(math.sqrt(n))
-        extent = scenario.area_size if scenario.area_size > 0 else side * s
-        rng = random.Random(mix_seed(seed, _PLACEMENT_SALT))
-        return [(rng.uniform(0.0, extent), rng.uniform(0.0, extent)) for _ in range(n)]
-    raise InvalidScenario(f"unknown placement '{scenario.placement}'")
+    side = math.ceil(math.sqrt(n))
+    if scenario.placement == "grid":
+        return [((i % side) * s, (i // side) * s) for i in range(n)]
+    extent = scenario.area_size if scenario.area_size > 0 else side * s
+    rng = random.Random(mix_seed(scenario.seed, _PLACEMENT_SALT))
+    return [(rng.uniform(0.0, extent), rng.uniform(0.0, extent)) for _ in range(n)]
 
 
 def _assign_roles(scenario: "ScenarioConfig",
                   positions: List[Tuple[float, float]]):
+    """Roles for a scenario that `validate` passed. Raises for an auto
+    sub-sink whose distances overflow, and for an aggregator on the sink or
+    on the sub-sink, which may be the auto one."""
     n = scenario.node_count
     sink = scenario.sink_id
-    if not 0 <= sink < n:
-        raise InvalidScenario("sink_id out of range")
-
-    sub_sink: Optional[int]
-    if scenario.sub_sink == "auto":
+    sub_sink = scenario.sub_sink
+    if sub_sink == "auto":
         cx = sum(p[0] for p in positions) / n
         cy = sum(p[1] for p in positions) / n
         try:
@@ -88,10 +85,6 @@ def _assign_roles(scenario: "ScenarioConfig",
         except OverflowError:
             raise InvalidScenario(
                 "layout too large: a squared distance overflows") from None
-    else:
-        sub_sink = scenario.sub_sink
-    if sub_sink is not None and (not 0 <= sub_sink < n or sub_sink == sink):
-        raise InvalidScenario("sub_sink conflicts with sink or is out of range")
 
     if scenario.aggregator_ids:
         aggregators = tuple(sorted(scenario.aggregator_ids))
@@ -106,9 +99,6 @@ def _assign_roles(scenario: "ScenarioConfig",
     special = {sink} | ({sub_sink} if sub_sink is not None else set())
     if special & set(aggregators):
         raise InvalidScenario("aggregator overlaps sink or sub-sink")
-    for a in aggregators:
-        if not 0 <= a < n:
-            raise InvalidScenario(f"aggregator id {a} out of range")
 
     roles = {}
     for i in range(n):
@@ -157,19 +147,18 @@ def _adjacency(positions: List[Tuple[float, float]],
     return adjacency
 
 
-def build_topology(scenario: "ScenarioConfig", seed: int) -> Topology:
+def build_topology(scenario: "ScenarioConfig") -> Topology:
     """Deterministic placement, role assignment, adjacency and round-0
-    routes for a scenario; every sensor must reach the sink at round 0."""
-    if scenario.node_count < 2:
-        raise InvalidScenario("need at least 2 nodes")
-    positions = _positions(scenario, seed)
-    roles, sink, sub_sink, aggregators = _assign_roles(scenario, positions)
+    routes for a scenario; every sensor must reach the sink at round 0.
 
-    if scenario.mode == "framework":
-        if sub_sink is None:
-            raise InvalidScenario("framework mode requires a sub-sink")
-        if not aggregators:
-            raise InvalidScenario("framework mode requires at least one aggregator")
+    The scenario is validated first; what is checked here beyond that is
+    only what the layout decides.
+    """
+    scenario.validate()
+    positions = _positions(scenario)
+    roles, sink, sub_sink, aggregators = _assign_roles(scenario, positions)
+    if scenario.mode == "framework" and not aggregators:
+        raise InvalidScenario("framework mode requires at least one aggregator")
 
     nodes = [Node(i, roles[i], positions[i]) for i in range(scenario.node_count)]
     r = scenario.comm_radius

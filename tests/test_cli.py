@@ -154,6 +154,7 @@ class TestRun:
         (("scenario", HUGE_WINDOW.encode()), "0\n" * 5, "InvalidScenario"),
         (("scenario", INFINITE_BAND_WIDTH.encode()), "0\n" * 5,
          "InvalidScenario"),
+        (("scenario", b"sink_id = 500\n"), "0\n" * 5, "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
             "non_utf8_model", "nan_radio_constant", "nan_theta_p",
@@ -163,7 +164,7 @@ class TestRun:
             "negative_area_size", "drift_phase_overflows",
             "noise_overflows", "field_and_drift_overflow", "event_overflows",
             "grid_distances_overflow", "uniform_distances_overflow",
-            "huge_window", "infinite_band_width"])
+            "huge_window", "infinite_band_width", "sink_id_out_of_range"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"

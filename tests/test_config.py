@@ -162,6 +162,30 @@ class TestValidate:
             parse_scenario("aggregator_ids = 5, 7, 5\n").validate()
         parse_scenario("aggregator_ids = 5, 7\n").validate()
 
+    # (rejected, accepted neighbour, message); both on 100 nodes, sink 5
+    @pytest.mark.parametrize("bad,good,message", [
+        (dict(sink_id=-1), dict(sink_id=0), "sink_id out of range"),
+        (dict(sink_id=100), dict(sink_id=99), "sink_id out of range"),
+        (dict(sub_sink=5), dict(sub_sink=4), "sub_sink conflicts"),
+        (dict(sub_sink=-1), dict(sub_sink=0), "sub_sink conflicts"),
+        (dict(sub_sink=100), dict(sub_sink=99), "sub_sink conflicts"),
+        (dict(sub_sink="none"), dict(sub_sink="auto"), "sub_sink must be"),
+        (dict(sub_sink="foo"), dict(sub_sink="auto"), "sub_sink must be"),
+        (dict(aggregator_ids=(-1,)), dict(aggregator_ids=(0,)),
+         "aggregator id -1 out of range"),
+        (dict(aggregator_ids=(7, 100)), dict(aggregator_ids=(7, 99)),
+         "aggregator id 100 out of range"),
+        (dict(sub_sink=None), dict(sub_sink=None, mode="baseline"),
+         "framework mode requires a sub-sink"),
+    ], ids=["sink_negative", "sink_past_the_end", "sub_sink_is_sink",
+            "sub_sink_negative", "sub_sink_past_the_end", "sub_sink_none_str",
+            "sub_sink_other_str", "aggregator_negative",
+            "aggregator_past_the_end", "framework_without_sub_sink"])
+    def test_role_rules(self, bad, good, message):
+        with pytest.raises(InvalidScenario, match=message):
+            ScenarioConfig(**{"sink_id": 5, **bad}).validate()
+        ScenarioConfig(**{"sink_id": 5, **good}).validate()
+
     @pytest.mark.parametrize("key", ["e_elec", "e_amp"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_radio_constants_must_be_finite(self, key, value):

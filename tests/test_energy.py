@@ -8,12 +8,6 @@ from iirsim.energy import EnergyLedger, RadioParams, rx_cost, tx_cost
 RADIO = RadioParams()
 
 
-def assert_alive_agrees(ledger):
-    """alive() is the direct test for what remaining() > 0 means."""
-    for n in ledger._initial:
-        assert ledger.alive(n) == (ledger.remaining(n) > 0)
-
-
 class TestCosts:
     def test_tx_zero_bits(self):
         assert tx_cost(RADIO, 0, 50.0) == 0.0
@@ -46,20 +40,16 @@ class TestLedger:
     def test_infinite_node_never_billed(self):
         ledger = EnergyLedger({0: math.inf})
         assert ledger.debit(0, 5.0, round_no=0) == 0.0
-        assert_alive_agrees(ledger)
-        assert ledger.alive(0)
+        assert ledger.remaining(0) > 0
         assert ledger.finite_nodes() == []
 
     def test_death_round_recorded(self):
         ledger = EnergyLedger({0: 1.0})
         ledger.debit(0, 0.6, round_no=3)
-        assert_alive_agrees(ledger)
         assert ledger.first_death_round is None
         applied = ledger.debit(0, 0.6, round_no=7)  # overdraw
-        assert_alive_agrees(ledger)
         assert applied == pytest.approx(0.4, rel=1e-12)
         assert ledger.first_death_round == 7
-        assert not ledger.alive(0)
         assert ledger.remaining(0) == 0.0
 
     def test_dead_node_billed_nothing(self):
@@ -70,17 +60,14 @@ class TestLedger:
     def test_zero_debit_changes_nothing(self):
         ledger = EnergyLedger({0: 1.0})
         assert ledger.debit(0, 0.0, round_no=0) == 0.0
-        assert_alive_agrees(ledger)
-        assert ledger.remaining(0) == 1.0 and ledger.alive(0)
+        assert ledger.remaining(0) == 1.0
 
     def test_exact_drain_kills(self):
         ledger = EnergyLedger({0: 1.0})
         ledger.debit(0, 0.25, round_no=1)
-        assert_alive_agrees(ledger)
         applied = ledger.debit(0, 0.75, round_no=4)  # amount == remaining
-        assert_alive_agrees(ledger)
         assert applied == 0.75
-        assert ledger.remaining(0) == 0.0 and not ledger.alive(0)
+        assert ledger.remaining(0) == 0.0
         assert ledger.death_rounds == {0: 4}
         assert ledger.first_death_round == 4
 
@@ -89,8 +76,7 @@ class TestLedger:
         ledger.debit(0, 0.75, round_no=2)
         charge = 0.25 - 2.0 ** -55  # below the balance, but 0.75 + charge == 1.0
         assert ledger.debit(0, charge, round_no=3) == charge
-        assert_alive_agrees(ledger)
-        assert ledger.remaining(0) == 0.0 and not ledger.alive(0)
+        assert ledger.remaining(0) == 0.0
         assert ledger.death_rounds == {0: 3}
         assert ledger.first_death_round == 3
 
@@ -99,25 +85,23 @@ class TestLedger:
         # and NaN, which remaining() reads as empty
         for initial in (1.0, math.inf, 0.0, math.nan):
             ledger = EnergyLedger({0: initial})
-            assert_alive_agrees(ledger)
             for i, amount in enumerate((0.3, 0.0, 0.01, 0.2, 2.0)):
                 ledger.debit(0, amount, round_no=i)  # ends in an overdraw
                 assert 0.0 <= ledger.remaining(0)
                 assert not ledger.remaining(0) > initial
-                assert_alive_agrees(ledger)
-            assert ledger.alive(0) == math.isinf(initial)
+            assert (ledger.remaining(0) > 0) == math.isinf(initial)
 
 
 def carry_hop_by_hop(ledger, legs, bits, radio, round_no):
-    """carry() spelled out through alive, debit, tx_cost and rx_cost."""
+    """carry() spelled out through remaining, debit, tx_cost and rx_cost."""
     billed, killed = [], []
     last = legs[-1][1]
     for a, b, d in legs:
-        if not (ledger.alive(a) and ledger.alive(b)):
+        if not (ledger.remaining(a) > 0 and ledger.remaining(b) > 0):
             return billed, False, killed
         billed.append((ledger.debit(a, tx_cost(radio, bits, d), round_no),
                        ledger.debit(b, rx_cost(radio, bits), round_no)))
-        died = [n for n in (a, b) if not ledger.alive(n)]
+        died = [n for n in (a, b) if not ledger.remaining(n) > 0]
         killed.extend(died)
         if died and b != last:
             return billed, False, killed
@@ -133,7 +117,6 @@ def assert_twins_equal(carried, stepped):
     assert carried.first_death_round == stepped.first_death_round
     for n in carried._initial:
         assert carried.remaining(n) == stepped.remaining(n)
-        assert carried.alive(n) == stepped.alive(n)
     assert carried._consumed == stepped._consumed
     assert carried._comp == stepped._comp
 

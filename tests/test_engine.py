@@ -35,7 +35,7 @@ def small_grid(**kw):
 
 class TestSense:
     def make_gt(self, sc):
-        topo = build_topology(sc, sc.seed)
+        topo = build_topology(sc)
         return engine.GroundTruth(sc, topo)
 
     def test_constant_field(self):
@@ -71,7 +71,7 @@ class TestSense:
         sc = small_grid(drift_amplitude=3.0, drift_period=7.0,
                         noise_sigma=0.8, event_rate=0.3, event_duration=2,
                         event_magnitude=4.0, event_radius=12.0)
-        topo = build_topology(sc, sc.seed)
+        topo = build_topology(sc)
         gt = engine.GroundTruth(sc, topo)
         rng, twin, events = random.Random(5), random.Random(5), random.Random(6)
         quiet = bumped = 0
@@ -186,7 +186,7 @@ class TestRun:
         sc = small_grid(rounds=300, initial_energy_j=2e-4, mode="baseline")
         full = engine.run(sc).report
         # if dead nodes kept sensing, generated would be sensors * rounds
-        n_sensors = sum(1 for _ in build_topology(sc, sc.seed).sensors())
+        n_sensors = sum(1 for _ in build_topology(sc).sensors())
         assert full.readings_generated < n_sensors * full.rounds_completed
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])

@@ -7,7 +7,7 @@ import pytest
 from iirsim import engine, topology
 from iirsim.config import ScenarioConfig
 from iirsim.core import NodeRole
-from iirsim.errors import DisconnectedTopology, NoRoute
+from iirsim.errors import DisconnectedTopology, InvalidScenario, NoRoute
 from iirsim.topology import (Node, Topology, build_topology,
                              recompute_routes, shortest_hop_path,
                              sink_reachable)
@@ -56,14 +56,14 @@ class TestBuild:
         sc = ScenarioConfig(node_count=2, placement="line", grid_spacing=5.0,
                             comm_radius=10.0, sink_id=1, sub_sink=None,
                             aggregator_every=0, mode="baseline")
-        t = build_topology(sc, seed=1)
+        t = build_topology(sc)
         assert t.adjacency[0] == {1} and t.adjacency[1] == {0}
         recompute_routes(t, "baseline")
         assert t.routes[0] == [0, 1]
 
     def test_line_chain_route_matches_bfs(self):
         sc = line_scenario(mode="baseline", sub_sink=None, aggregator_ids=())
-        t = build_topology(sc, seed=1)
+        t = build_topology(sc)
         recompute_routes(t, "baseline")
         assert t.routes[0] == [0, 1, 2, 3]
         assert bfs_oracle(t.adjacency, t.alive, 0, 3) == 3
@@ -71,29 +71,83 @@ class TestBuild:
     def test_line_out_of_radius_disconnected(self):
         sc = line_scenario(comm_radius=5.0)
         with pytest.raises(DisconnectedTopology):
-            build_topology(sc, seed=1)
+            build_topology(sc)
 
     def test_deterministic_same_seed(self):
         sc = ScenarioConfig(node_count=30, placement="uniform", seed=9,
                             comm_radius=40.0)
-        a = build_topology(sc, seed=9)
-        b = build_topology(sc, seed=9)
+        a = build_topology(sc)
+        b = build_topology(sc)
         assert [n.pos for n in a.nodes] == [n.pos for n in b.nodes]
         assert a.adjacency == b.adjacency
 
     def test_grid_reference_roles(self):
-        t = build_topology(ScenarioConfig(), seed=1)
+        t = build_topology(ScenarioConfig())
         assert t.nodes[t.sink].role is NodeRole.SINK
         assert t.sub_sink is not None
         assert len(t.aggregators) == 9  # reference layout: 9 aggregators
 
     def test_adjacency_symmetric_without_self_loops(self):
         sc = ScenarioConfig(node_count=25, placement="uniform", comm_radius=40.0,
-                            sub_sink="auto", aggregator_every=5)
-        t = build_topology(sc, seed=3)
+                            sub_sink="auto", aggregator_every=5, seed=3)
+        t = build_topology(sc)
         for a in range(25):
             for b in t.adjacency[a]:
                 assert b != a and a in t.adjacency[b]
+
+
+# What build_topology may reject after validate() has passed: only what
+# the layout decides
+LAYOUT_MESSAGES = ("layout too large", "aggregator overlaps sink or sub-sink",
+                   "framework mode requires at least one aggregator")
+
+
+class TestLayoutRules:
+    @pytest.mark.parametrize("sc,message", [
+        (line_scenario(aggregator_ids=(3,)), "aggregator overlaps"),
+        # 44 is the reference grid's auto sub-sink
+        (ScenarioConfig(aggregator_ids=(44,)), "aggregator overlaps"),
+        (ScenarioConfig(aggregator_every=101), "at least one aggregator"),
+    ], ids=["aggregator_is_sink", "aggregator_is_auto_sub_sink",
+            "stride_past_every_node"])
+    def test_rejected_when_the_layout_is_built(self, sc, message):
+        sc.validate()
+        with pytest.raises(InvalidScenario, match=message):
+            build_topology(sc)
+
+    def test_validate_owns_every_rule_the_layout_does_not_decide(self):
+        rng = random.Random(17)
+        outcomes = {"invalid": 0, "built": 0, "layout": 0}
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            sc = ScenarioConfig(
+                node_count=n, placement=rng.choice(("grid", "line", "uniform")),
+                comm_radius=1000.0,  # every layout is connected
+                sink_id=rng.randint(-2, n + 2),
+                sub_sink=rng.choice(("auto", None, "none", "foo",
+                                     rng.randint(-2, n + 2))),
+                aggregator_ids=tuple(rng.choices(range(-2, n + 3),
+                                                 k=rng.randint(0, 2))),
+                aggregator_every=rng.randint(0, n + 1),
+                mode=rng.choice(("baseline", "framework")),
+                seed=rng.randrange(1000))
+            try:
+                sc.validate()
+            except InvalidScenario:
+                outcomes["invalid"] += 1
+                continue
+            try:
+                t = build_topology(sc)
+                outcomes["built"] += 1
+            except InvalidScenario as exc:
+                assert str(exc).startswith(LAYOUT_MESSAGES), (sc, exc)
+                outcomes["layout"] += 1
+                continue
+            roles = {t.sink, t.sub_sink, *t.aggregators} - {None}
+            assert roles <= set(range(n)), sc
+            if sc.mode == "framework":
+                assert t.sub_sink is not None and t.aggregators, sc
+        assert all(outcomes.values()), outcomes
 
 
 class TestRouting:
@@ -158,7 +212,7 @@ class TestRouting:
 class TestRouteTable:
     def test_framework_routes_chain_through_roles(self):
         sc = line_scenario()
-        t = build_topology(sc, seed=1)
+        t = build_topology(sc)
         recompute_routes(t, "framework")
         assert t.routes[0] == [0, 1]
         assert t.routes[1] == [1, 2]
@@ -288,7 +342,7 @@ class TestRouteTableOracle:
         for kw in (dict(node_count=49, aggregator_every=8),
                    dict(node_count=64, placement="uniform", aggregator_every=3,
                         comm_radius=25.0)):
-            t = build_topology(ScenarioConfig(**kw), seed=1)
+            t = build_topology(ScenarioConfig(**kw))
             rng = random.Random(5)
             for _ in range(3):
                 for mode in ("baseline", "framework"):
@@ -318,7 +372,7 @@ class TestAdjacencyOracle:
     ], ids=["grid_boundary", "line", "uniform_area", "grid_radius_7_3",
             "uniform_radius_7_3"])
     def test_cell_list_equals_all_pairs(self, kw):
-        t = build_topology(ScenarioConfig(**kw), seed=4)
+        t = build_topology(ScenarioConfig(**kw, seed=4))
         assert t.adjacency == brute_force_adjacency(
             [node.pos for node in t.nodes], t.comm_radius)
 
@@ -348,7 +402,7 @@ class TestRouteRecomputeCost:
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_one_bfs_per_target(self, bfs_calls, mode):
-        t = build_topology(ScenarioConfig(mode=mode), seed=1)
+        t = build_topology(ScenarioConfig(mode=mode))
         bfs_calls.clear()
         recompute_routes(t, mode)
         if mode == "baseline":
