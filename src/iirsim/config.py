@@ -70,6 +70,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         for key, parse in _PARSERS.items():
+            # bool is an int subclass, but True is not a count or an id
+            if parse is int and type(getattr(self, key)) is not int:
+                raise InvalidScenario(f"{key} must be an integer")
             if parse is float and not math.isfinite(getattr(self, key)):
                 raise InvalidScenario(f"{key} must be finite")
         if self.node_count < 2:
@@ -108,13 +111,15 @@ class ScenarioConfig:
         n, sink, sub = self.node_count, self.sink_id, self.sub_sink
         if not 0 <= sink < n:
             raise InvalidScenario("sink_id out of range")
-        if sub not in ("auto", None) and not isinstance(sub, int):
+        if sub not in ("auto", None) and type(sub) is not int:
             raise InvalidScenario("sub_sink must be a node id, 'auto' or None")
-        if isinstance(sub, int) and (not 0 <= sub < n or sub == sink):
+        if type(sub) is int and (not 0 <= sub < n or sub == sink):
             raise InvalidScenario("sub_sink conflicts with sink or is out of range")
         if sub is None and self.mode == "framework":
             raise InvalidScenario("framework mode requires a sub-sink")
         for a in self.aggregator_ids:
+            if type(a) is not int:
+                raise InvalidScenario(f"aggregator id {a!r} is not an integer")
             if not 0 <= a < n:
                 raise InvalidScenario(f"aggregator id {a} out of range")
         if self.window_w < 1:

@@ -4,7 +4,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    TYPE_CHECKING)
 
 from .core import NodeRole, mix_seed
 from .errors import DisconnectedTopology, InvalidScenario, NoRoute
@@ -15,8 +16,7 @@ if TYPE_CHECKING:
 _PLACEMENT_SALT = 0x9051
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     role: NodeRole
     pos: Tuple[float, float]
@@ -69,9 +69,9 @@ def _positions(scenario: "ScenarioConfig") -> List[Tuple[float, float]]:
 
 def _assign_roles(scenario: "ScenarioConfig",
                   positions: List[Tuple[float, float]]):
-    """Roles for a scenario that `validate` passed. Raises for an auto
-    sub-sink whose distances overflow, and for an aggregator on the sink or
-    on the sub-sink, which may be the auto one."""
+    """Each node's role, by id, for a scenario that `validate` passed.
+    Raises for an auto sub-sink whose distances overflow, and for an
+    aggregator on the sink or on the sub-sink, which may be the auto one."""
     n = scenario.node_count
     sink = scenario.sink_id
     sub_sink = scenario.sub_sink
@@ -79,9 +79,8 @@ def _assign_roles(scenario: "ScenarioConfig",
         cx = sum(p[0] for p in positions) / n
         cy = sum(p[1] for p in positions) / n
         try:
-            sub_sink = min((i for i in range(n) if i != sink),
-                           key=lambda i: ((positions[i][0] - cx) ** 2
-                                          + (positions[i][1] - cy) ** 2, i))
+            _, sub_sink = min(((x - cx) ** 2 + (y - cy) ** 2, i)
+                              for i, (x, y) in enumerate(positions) if i != sink)
         except OverflowError:
             raise InvalidScenario(
                 "layout too large: a squared distance overflows") from None
@@ -96,20 +95,15 @@ def _assign_roles(scenario: "ScenarioConfig",
                             if i != sink and i != sub_sink)
     else:
         aggregators = ()
-    special = {sink} | ({sub_sink} if sub_sink is not None else set())
-    if special & set(aggregators):
+    if {sink, sub_sink} & set(aggregators):
         raise InvalidScenario("aggregator overlaps sink or sub-sink")
 
-    roles = {}
-    for i in range(n):
-        if i == sink:
-            roles[i] = NodeRole.SINK
-        elif i == sub_sink:
-            roles[i] = NodeRole.SUB_SINK
-        elif i in aggregators:
-            roles[i] = NodeRole.AGGREGATOR
-        else:
-            roles[i] = NodeRole.SENSOR
+    roles = [NodeRole.SENSOR] * n
+    for a in aggregators:
+        roles[a] = NodeRole.AGGREGATOR
+    if sub_sink is not None:
+        roles[sub_sink] = NodeRole.SUB_SINK
+    roles[sink] = NodeRole.SINK
     return roles, sink, sub_sink, aggregators
 
 
@@ -125,25 +119,29 @@ def _adjacency(positions: List[Tuple[float, float]],
     goes into one cell, where every pair is tested.
     """
     w = r * (1.0 + 1e-9)
+    floor = math.floor
+    cells: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = {}
     try:
-        keys = [(math.floor(x / w), math.floor(y / w)) for x, y in positions]
+        for i, (x, y) in enumerate(positions):
+            key = (floor(x / w), floor(y / w))
+            cells.setdefault(key, []).append((i, x, y))
     except (ValueError, OverflowError):
-        keys = [(0, 0)] * len(positions)
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    for i, key in enumerate(keys):
-        cells.setdefault(key, []).append(i)
+        cells = {(0, 0): [(i, x, y) for i, (x, y) in enumerate(positions)]}
     adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(positions))}
+    hypot = math.hypot
+    # Each pair of neighbouring cells is visited once: a cell's members
+    # meet the members after them and the four cells after it in (x, y).
     for (cx, cy), members in cells.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in cells.get((cx + dx, cy + dy), ()):
-                    xj, yj = positions[j]
-                    for i in members:
-                        if i < j:
-                            xi, yi = positions[i]
-                            if math.hypot(xi - xj, yi - yj) <= r:
-                                adjacency[i].add(j)
-                                adjacency[j].add(i)
+        near = members[:]
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                    (cx, cy + 1)):
+            near += cells.get(key, ())
+        for k, (i, xi, yi) in enumerate(members, start=1):
+            links = adjacency[i]
+            for j, xj, yj in near[k:]:
+                if hypot(xi - xj, yi - yj) <= r:
+                    links.add(j)
+                    adjacency[j].add(i)
     return adjacency
 
 
@@ -184,19 +182,20 @@ def hop_distances(t: Topology, sources: Sequence[int]
     nearest source in `sources` order. Expanding each level in (source
     index, id) order makes that neighbour the first to reach the node.
     """
+    alive, adjacency = t.alive, t.adjacency
     dist: Dict[int, int] = {}
     next_hop: Dict[int, int] = {}
     frontier = []
     for i, s in enumerate(sources):
-        if s in t.alive and s not in dist:
+        if s in alive and s not in dist:
             dist[s] = 0
             frontier.append((i, s))
     while frontier:
         nxt = []
         for i, u in sorted(frontier):
             d = dist[u] + 1
-            for v in t.adjacency[u]:
-                if v in t.alive and v not in dist:
+            for v in adjacency[u].difference(dist):
+                if v in alive:
                     dist[v] = d
                     next_hop[v] = u
                     nxt.append((i, v))
@@ -204,11 +203,18 @@ def hop_distances(t: Topology, sources: Sequence[int]
     return dist, next_hop
 
 
-def _walk(next_hop: Dict[int, int], src: int) -> List[int]:
-    """Follow `next_hop` pointers from `src` to its BFS source."""
+def _walk(next_hop: Dict[int, int], src: int,
+          built: Dict[int, List[int]]) -> List[int]:
+    """Follow `next_hop` pointers from `src` to its BFS source. The walk
+    stops at the first node with a route in `built`, a walk over the same
+    `next_hop`, and appends a copy of that route."""
     path = [src]
     while src in next_hop:
         src = next_hop[src]
+        route = built.get(src)
+        if route is not None:
+            path += route
+            break
         path.append(src)
     return path
 
@@ -226,7 +232,7 @@ def shortest_hop_path(t: Topology, src: int, dst: int) -> List[int]:
     dist, next_hop = hop_distances(t, (dst,))
     if src not in dist:
         raise NoRoute(f"no path from {src} to {dst} over alive nodes")
-    return _walk(next_hop, src)
+    return _walk(next_hop, src, {})
 
 
 def recompute_routes(t: Topology, mode: str) -> None:
@@ -248,16 +254,22 @@ def recompute_routes(t: Topology, mode: str) -> None:
                 NodeRole.SENSOR: t.aggregators})
     fields: Dict[Tuple[int, ...], Tuple[Dict[int, int], Dict[int, int]]] = {
         (t.sink,): hop_distances(t, (t.sink,))}
+    plans = {}  # role -> (dist, next_hop, the routes this role has built)
     routes: Dict[int, List[int]] = {}
     for node in t.nodes:
-        sources = targets.get(node.role)
-        if sources is None or node.id not in t.alive:
+        if node.id not in t.alive:
             continue
-        if sources not in fields:
-            fields[sources] = hop_distances(t, sources)
-        dist, next_hop = fields[sources]
+        plan = plans.get(node.role)
+        if plan is None:
+            sources = targets.get(node.role)
+            if sources is None:
+                continue
+            if sources not in fields:
+                fields[sources] = hop_distances(t, sources)
+            plan = plans[node.role] = (*fields[sources], {})
+        dist, next_hop, built = plan
         if node.id in dist:
-            routes[node.id] = _walk(next_hop, node.id)
+            routes[node.id] = built[node.id] = _walk(next_hop, node.id, built)
     t.routes = routes
     t.sink_hops = fields[(t.sink,)][0]
 

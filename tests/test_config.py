@@ -186,6 +186,34 @@ class TestValidate:
             ScenarioConfig(**{"sink_id": 5, **bad}).validate()
         ScenarioConfig(**{"sink_id": 5, **good}).validate()
 
+    # set from Python, where no parser turns the value into an int first
+    @pytest.mark.parametrize("bad,message", [
+        (dict(sink_id="3"), "sink_id must be an integer"),
+        (dict(sink_id=True), "sink_id must be an integer"),
+        (dict(node_count=2.5), "node_count must be an integer"),
+        (dict(rounds=2.5), "rounds must be an integer"),
+        (dict(batch_cap=True), "batch_cap must be an integer"),
+        (dict(sub_sink=True), "sub_sink must be"),
+        (dict(sub_sink=3.0), "sub_sink must be"),
+        (dict(aggregator_ids=("5",)), "aggregator id '5' is not an integer"),
+        (dict(aggregator_ids=(7, True)), "aggregator id True is not an integer"),
+    ], ids=["sink_str", "sink_bool", "node_count_float", "rounds_float",
+            "batch_cap_bool", "sub_sink_bool", "sub_sink_float",
+            "aggregator_str", "aggregator_bool"])
+    def test_int_fields_must_hold_ints(self, bad, message):
+        with pytest.raises(InvalidScenario, match=message):
+            ScenarioConfig(**bad).validate()
+
+    def test_every_int_key_is_checked(self):
+        keys = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type == "int"]
+        assert {"node_count", "sink_id", "rounds", "batch_cap"} <= set(keys)
+        for key in keys:
+            for value in (1.0, True, "1"):
+                with pytest.raises(InvalidScenario,
+                                   match=f"^{key} must be an integer"):
+                    ScenarioConfig(**{key: value}).validate()
+
     @pytest.mark.parametrize("key", ["e_elec", "e_amp"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_radio_constants_must_be_finite(self, key, value):

@@ -150,6 +150,77 @@ class TestLayoutRules:
         assert all(outcomes.values()), outcomes
 
 
+def per_id_roles(scenario, positions):
+    """Role assignment as one membership test per id, with the aggregators
+    held in a tuple: the reference for `topology._assign_roles`."""
+    n = scenario.node_count
+    sink = scenario.sink_id
+    sub_sink = scenario.sub_sink
+    if sub_sink == "auto":
+        cx = sum(p[0] for p in positions) / n
+        cy = sum(p[1] for p in positions) / n
+        sub_sink = min((i for i in range(n) if i != sink),
+                       key=lambda i: ((positions[i][0] - cx) ** 2
+                                      + (positions[i][1] - cy) ** 2, i))
+    if scenario.aggregator_ids:
+        aggregators = tuple(sorted(scenario.aggregator_ids))
+    elif scenario.aggregator_every > 0:
+        k = scenario.aggregator_every
+        aggregators = tuple(i for i in range(k - 1, n, k)
+                            if i != sink and i != sub_sink)
+    else:
+        aggregators = ()
+    if {sink, sub_sink} & set(aggregators):
+        raise InvalidScenario("aggregator overlaps sink or sub-sink")
+    roles = {}
+    for i in range(n):
+        if i == sink:
+            roles[i] = NodeRole.SINK
+        elif i == sub_sink:
+            roles[i] = NodeRole.SUB_SINK
+        elif i in aggregators:
+            roles[i] = NodeRole.AGGREGATOR
+        else:
+            roles[i] = NodeRole.SENSOR
+    return roles, sink, sub_sink, aggregators
+
+
+class TestRoleOracle:
+    def test_matches_per_id_reference(self):
+        rng = random.Random(31)
+        seen = dict.fromkeys(("auto", "none", "id", "explicit", "stride",
+                              "overlap"), 0)
+        for _ in range(400):
+            n = rng.randint(2, 60)
+            explicit = rng.random() < 0.4
+            sc = ScenarioConfig(
+                node_count=n, placement=rng.choice(("grid", "line", "uniform")),
+                sink_id=rng.randrange(n),
+                sub_sink=rng.choice(("auto", None, rng.randrange(n))),
+                aggregator_ids=(tuple(rng.sample(range(n), rng.randint(1, 4)))
+                                if explicit and n >= 4 else ()),
+                aggregator_every=rng.randint(0, n + 1),
+                mode="baseline", seed=rng.randrange(1000))
+            try:
+                sc.validate()
+            except InvalidScenario:
+                continue
+            positions = topology._positions(sc)
+            try:
+                expected = per_id_roles(sc, positions)
+            except InvalidScenario:
+                with pytest.raises(InvalidScenario, match="aggregator overlaps"):
+                    topology._assign_roles(sc, positions)
+                seen["overlap"] += 1
+                continue
+            roles, *rest = topology._assign_roles(sc, positions)
+            assert (dict(enumerate(roles)), *rest) == expected, sc
+            seen["none" if sc.sub_sink is None else
+                 "auto" if sc.sub_sink == "auto" else "id"] += 1
+            seen["explicit" if sc.aggregator_ids else "stride"] += 1
+        assert all(seen.values()), seen
+
+
 class TestRouting:
     def test_sink_self_route(self):
         t = graph_topology(2, [(0, 1)], sink=1)
@@ -358,6 +429,11 @@ def brute_force_adjacency(pos, r):
             for i in range(len(pos))}
 
 
+def scattered(n, lo, hi, seed):
+    rng = random.Random(seed)
+    return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
+
+
 class TestAdjacencyOracle:
     @pytest.mark.parametrize("kw", [
         dict(grid_spacing=10.0, comm_radius=10.0),
@@ -382,8 +458,16 @@ class TestAdjacencyOracle:
         ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], math.nan),
         ([(1e17 + 16.0 * i, 0.0) for i in range(6)], 16.0),
         ([(1e300, 0.0), (1e300, 1e-300), (0.0, 0.0)], 1e-300),
+        (scattered(150, -60.0, 10.0, seed=8)
+         + [(-5.0 * i - 0.5, -5.0 * j - 0.5) for i in range(8)
+            for j in range(8)], 7.3),
+        # 3-4-5: exactly r apart, the second node one cell right and one
+        # down; the third is just past r
+        ([(4.0, 1.0), (7.0, -3.0), (7.0, -3.0000001)], 5.0),
+        (scattered(40, 0.0, 3.0, seed=9), 5.0),
     ], ids=["nan_position", "inf_positions_inf_radius", "nan_radius",
-            "far_from_origin", "quotient_overflows"])
+            "far_from_origin", "quotient_overflows", "negative_coordinates",
+            "exactly_r_across_the_down_diagonal", "every_node_in_one_cell"])
     def test_unbinnable_or_far_positions_equal_all_pairs(self, pos, r):
         assert topology._adjacency(pos, r) == brute_force_adjacency(pos, r)
 
@@ -409,6 +493,23 @@ class TestRouteRecomputeCost:
             assert len(bfs_calls) == 1
         else:
             assert len(bfs_calls) <= 3
+
+    def test_framework_hashes_the_aggregators_a_fixed_number_of_times(self):
+        hashes = []
+
+        class CountedTuple(tuple):
+            def __hash__(self):
+                hashes.append(1)
+                return super().__hash__()
+        counts = []
+        for n in (100, 400):
+            t = build_topology(ScenarioConfig(node_count=n))
+            t.aggregators = CountedTuple(t.aggregators)
+            hashes.clear()
+            recompute_routes(t, "framework")
+            assert len(t.routes) == n
+            counts.append(len(hashes))
+        assert counts[0] == counts[1] <= 3, counts
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_every_bfs_of_a_run_is_in_recompute_routes(self, monkeypatch, mode):
