@@ -2,7 +2,7 @@
 
 from .config import ScenarioConfig, load_scenario, parse_scenario
 from .engine import RunResult, run
-from .metrics import MetricsReport, from_json, serialize
+from .metrics import MetricsReport, serialize
 from .pipeline import ClassifierModel, train_classifier
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "MetricsReport",
     "RunResult",
     "ScenarioConfig",
-    "from_json",
     "load_scenario",
     "parse_scenario",
     "run",

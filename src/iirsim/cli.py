@@ -8,9 +8,9 @@ import sys
 from typing import Optional
 
 from . import engine, metrics, pipeline
-from .config import MODES, ScenarioConfig, load_scenario, with_overrides
+from .config import MODES, ScenarioConfig, load_scenario
 from .core import _atomic_write
-from .errors import EmptyTrainingSet, SimError
+from .errors import SimError
 
 
 def _out_path(base: str, suffix: str, fmt: str) -> str:
@@ -21,8 +21,10 @@ def _out_path(base: str, suffix: str, fmt: str) -> str:
 
 
 def _load(args) -> ScenarioConfig:
-    return with_overrides(load_scenario(args.scenario), seed=args.seed,
-                          rounds=args.rounds, mode=getattr(args, "mode", None))
+    # `train` and `compare` have no --mode
+    overrides = {k: getattr(args, k, None) for k in ("seed", "rounds", "mode")}
+    return dataclasses.replace(load_scenario(args.scenario), **{
+        k: v for k, v in overrides.items() if v is not None})
 
 
 def _load_model(args) -> Optional[pipeline.ClassifierModel]:
@@ -92,9 +94,6 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     sc = _load(args)
     examples = engine.collect_training_examples(sc)
-    if not examples:
-        raise EmptyTrainingSet(
-            "warm-up run produced no candidate readings to train on")
     model = pipeline.train_classifier(examples)
     accuracy = pipeline.training_accuracy(model, examples)
     pipeline.save_model(model, args.out)

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Tuple, Union
 
+from .core import _read_text
 from .energy import E_AMP_DEFAULT, E_ELEC_DEFAULT, RadioParams
 from .errors import InvalidScenario, InvalidValue, MalformedLine, UnknownKey
 
@@ -70,27 +71,28 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         for key, parse in _PARSERS.items():
+            value = getattr(self, key)
             # bool is an int subclass, but True is not a count or an id
-            if parse is int and type(getattr(self, key)) is not int:
+            if parse is int and type(value) is not int:
                 raise InvalidScenario(f"{key} must be an integer")
-            if parse is float and not math.isfinite(getattr(self, key)):
+            # counts and ids reach C sizes (range, a deque's maxlen) and
+            # floats (math.sqrt, the drift phase); the seed is only mixed
+            if parse is int and key != "seed" and value > sys.maxsize:
+                raise InvalidScenario(f"{key} must be at most {sys.maxsize}")
+            if parse is float and not math.isfinite(value):
                 raise InvalidScenario(f"{key} must be finite")
         if self.node_count < 2:
             raise InvalidScenario("node_count must be at least 2")
-        if self.rounds < 0:
-            raise InvalidScenario("rounds must be non-negative")
         if self.mode not in MODES:
             raise InvalidScenario(f"mode must be one of {MODES}")
         if self.placement not in PLACEMENTS:
             raise InvalidScenario(f"placement must be one of {PLACEMENTS}")
-        if self.comm_radius <= 0:
-            raise InvalidScenario("comm_radius must be positive")
-        if self.grid_spacing <= 0:
-            raise InvalidScenario("grid_spacing must be positive")
-        if self.initial_energy_j <= 0:
-            raise InvalidScenario("initial_energy_j must be positive")
-        if not (self.e_elec > 0 and self.e_amp > 0):
-            raise InvalidScenario("radio constants must be positive")
+        for key in _POSITIVE:
+            if getattr(self, key) <= 0:
+                raise InvalidScenario(f"{key} must be positive")
+        for key in _NON_NEGATIVE:
+            if getattr(self, key) < 0:
+                raise InvalidScenario(f"{key} must be non-negative")
         if not self.band_lo < self.band_hi:
             raise InvalidScenario("band_lo must be below band_hi")
         # the staircase divides by the band width, which must stay finite
@@ -98,14 +100,8 @@ class ScenarioConfig:
             raise InvalidScenario("band_hi - band_lo must be finite")
         if not (self.range_lo <= self.band_lo and self.band_hi <= self.range_hi):
             raise InvalidScenario("nominal band must lie inside the physical range")
-        for key in ("theta_p", "delta_o", "tau_r", "dedup_eps", "rescue_score",
-                    "noise_sigma", "event_rate", "event_radius", "area_size"):
-            if getattr(self, key) < 0:
-                raise InvalidScenario(f"{key} must be non-negative")
         if not 0 <= self.quorum_q <= 1:
             raise InvalidScenario("quorum_q must be in [0, 1]")
-        if self.aggregator_every < 0:
-            raise InvalidScenario("aggregator_every must be non-negative")
         if len(set(self.aggregator_ids)) != len(self.aggregator_ids):
             raise InvalidScenario("aggregator_ids must not repeat an id")
         n, sink, sub = self.node_count, self.sink_id, self.sub_sink
@@ -122,21 +118,20 @@ class ScenarioConfig:
                 raise InvalidScenario(f"aggregator id {a!r} is not an integer")
             if not 0 <= a < n:
                 raise InvalidScenario(f"aggregator id {a} out of range")
-        if self.window_w < 1:
-            raise InvalidScenario("window_w must be positive")
-        if self.window_w > sys.maxsize:  # a history deque's maxlen
-            raise InvalidScenario(f"window_w must be at most {sys.maxsize}")
-        if self.batch_cap < 1:
-            raise InvalidScenario("batch_cap must be positive")
-        if self.event_duration < 1:
-            raise InvalidScenario("event_duration must be positive")
-        if self.drift_period <= 0:
-            raise InvalidScenario("drift_period must be positive")
         # GroundTruth.advance takes the sine of this phase, which must stay
         # finite
         if not math.isfinite(2.0 * math.pi * max(self.rounds - 1, 0)
                              / self.drift_period):
             raise InvalidScenario("drift_period is too small for the rounds")
+
+
+# The sign rule of each numeric key; a key in neither tuple has a rule of
+# its own in validate.
+_POSITIVE = ("comm_radius", "grid_spacing", "initial_energy_j", "e_elec",
+             "e_amp", "drift_period", "window_w", "batch_cap", "event_duration")
+_NON_NEGATIVE = ("rounds", "aggregator_every", "theta_p", "delta_o", "tau_r",
+                 "dedup_eps", "rescue_score", "noise_sigma", "event_rate",
+                 "event_radius", "area_size")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -206,15 +201,4 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise InvalidScenario(f"scenario file {path!r} is not UTF-8: "
-                              f"{exc.reason} at byte {exc.start}") from None
-    return parse_scenario(text)
-
-
-def with_overrides(sc: ScenarioConfig, **overrides) -> ScenarioConfig:
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return replace(sc, **overrides) if overrides else sc
+    return parse_scenario(_read_text(path, "scenario", InvalidScenario))

@@ -5,7 +5,9 @@ import os
 import tempfile
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple, Type
+
+from .errors import SimError
 
 HEADER_BITS = 64
 READING_BITS = 64
@@ -84,3 +86,13 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_text(path: str, what: str, error: Type[SimError]) -> str:
+    """Read a UTF-8 text file; bytes that are not UTF-8 raise `error`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path!r} is not UTF-8: "
+                    f"{exc.reason} at byte {exc.start}") from None

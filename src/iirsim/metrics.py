@@ -118,14 +118,3 @@ def serialize(report: MetricsReport, fmt: str) -> str:
     if fmt == "json":
         return to_json(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def from_json(text: str) -> MetricsReport:
-    obj = json.loads(text)
-    report = MetricsReport()
-    for c in COLUMNS:
-        v = obj[c]
-        if c == "per_node_energy_remaining_j":
-            v = {int(n): e for n, e in v.items()}
-        setattr(report, c, v)
-    return report

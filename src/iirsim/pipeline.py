@@ -22,7 +22,8 @@ from typing import (Deque, Dict, List, Mapping, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
-                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write)
+                   STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write,
+                   _read_text)
 from .errors import EmptyTrainingSet, InvalidValue
 from .topology import Topology
 
@@ -128,8 +129,8 @@ def review_analysis(readings: Sequence[SensorReading],
     return kept, dropped
 
 
-def train_classifier(examples: Sequence[Tuple[Sequence[float], str]],
-                     epochs: int = PERCEPTRON_EPOCHS) -> ClassifierModel:
+def train_classifier(
+        examples: Sequence[Tuple[Sequence[float], str]]) -> ClassifierModel:
     """Classic perceptron: zero init, unit rate, fixed example order,
     stop at the epoch cap or the first update-free epoch."""
     if not examples:
@@ -140,7 +141,7 @@ def train_classifier(examples: Sequence[Tuple[Sequence[float], str]],
         if label not in (LABEL_FORWARD, LABEL_DISCARD):
             raise ValueError(f"unknown label {label!r}")
     w = [0.0] * N_FEATURES
-    for _ in range(epochs):
+    for _ in range(PERCEPTRON_EPOCHS):
         updated = False
         for x, label in examples:
             y = 1.0 if label == LABEL_FORWARD else -1.0
@@ -215,14 +216,9 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = list(f)
-    except UnicodeDecodeError as exc:
-        raise InvalidValue(f"model file {path!r} is not UTF-8: "
-                           f"{exc.reason} at byte {exc.start}") from None
+    text = _read_text(path, "model", InvalidValue)
     weights = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from iirsim.cli import main
-from iirsim.metrics import from_json
 from iirsim.pipeline import load_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,6 +106,14 @@ class TestRun:
               "--quiet", "--seed", "2", "--out", out2])
         assert Path(out1).read_text() != Path(out2).read_text()
 
+    def test_seed_may_exceed_every_count(self, scenario, tmp_path):
+        # a seed is only mixed into stream seeds, so it has no upper bound
+        seed = f"seed = {2**64 - 1}\n"
+        out = tmp_path / "r.json"
+        assert main(["run", "--scenario", scenario(LINE_FIXTURE + seed),
+                     "--format", "json", "--quiet", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rounds_completed"] == 3
+
     def test_unknown_key_surfaced(self, scenario, tmp_path, capsys):
         code = main(["run", "--scenario", scenario("node_cout = 4\n"),
                      "--out", str(tmp_path / "r.csv")])
@@ -155,6 +163,10 @@ class TestRun:
         (("scenario", INFINITE_BAND_WIDTH.encode()), "0\n" * 5,
          "InvalidScenario"),
         (("scenario", b"sink_id = 500\n"), "0\n" * 5, "InvalidScenario"),
+        (("scenario", f"rounds = {10**400}\n".encode()), "0\n" * 5,
+         "InvalidScenario"),
+        (("scenario", f"node_count = {10**26}\n".encode()), "0\n" * 5,
+         "InvalidScenario"),
     ], ids=["missing_scenario", "missing_model", "non_numeric_weight",
             "wrong_weight_count", "out_dir_missing", "non_utf8_scenario",
             "non_utf8_model", "nan_radio_constant", "nan_theta_p",
@@ -164,7 +176,8 @@ class TestRun:
             "negative_area_size", "drift_phase_overflows",
             "noise_overflows", "field_and_drift_overflow", "event_overflows",
             "grid_distances_overflow", "uniform_distances_overflow",
-            "huge_window", "infinite_band_width", "sink_id_out_of_range"])
+            "huge_window", "infinite_band_width", "sink_id_out_of_range",
+            "huge_rounds", "huge_node_count"])
     def test_bad_input_is_an_error_line(self, scenario, tmp_path, capsys,
                                         bad, weights, error):
         model = tmp_path / "model.txt"
@@ -193,7 +206,7 @@ class TestRun:
              "--rounds", "1", "--format", "json", "--quiet", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert from_json(out.read_text()).rounds_completed == 1
+        assert json.loads(out.read_text())["rounds_completed"] == 1
 
 class TestCompare:
     def test_permissive_delivered_ratio_one(self, scenario, tmp_path, capsys):
@@ -222,9 +235,9 @@ class TestCompare:
         code = main(["compare", "--scenario", scenario(SMALL_GRID),
                      "--format", "json", "--out", out, "--quiet"])
         assert code == 0
-        bl = from_json((tmp_path / "cmp_baseline.json").read_text())
-        fw = from_json((tmp_path / "cmp_framework.json").read_text())
-        assert fw.total_bits_transmitted < bl.total_bits_transmitted
+        bl = json.loads((tmp_path / "cmp_baseline.json").read_text())
+        fw = json.loads((tmp_path / "cmp_framework.json").read_text())
+        assert fw["total_bits_transmitted"] < bl["total_bits_transmitted"]
 
     def test_table_is_csv_whatever_the_format(self, scenario, tmp_path):
         code = main(["compare", "--scenario", scenario(LINE_FIXTURE),

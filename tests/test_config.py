@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from iirsim.config import ScenarioConfig, parse_scenario
+from iirsim.config import (_NON_NEGATIVE, _POSITIVE, ScenarioConfig,
+                           parse_scenario)
 from iirsim.energy import RadioParams
 from iirsim.errors import (InvalidScenario, InvalidValue, MalformedLine,
                            UnknownKey)
@@ -120,6 +121,50 @@ class TestValidate:
         with pytest.raises(InvalidScenario, match="window_w"):
             ScenarioConfig(window_w=sys.maxsize + 1).validate()
         ScenarioConfig(window_w=sys.maxsize).validate()
+
+    def test_every_int_key_but_the_seed_is_bounded(self):
+        # rounds = 10**400 used to end in OverflowError at the drift phase,
+        # and node_count = 10**26 to start placing that many nodes
+        keys = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type == "int" and f.name != "seed"]
+        assert {"node_count", "rounds", "window_w"} <= set(keys)
+        for key in keys:
+            for value in (sys.maxsize + 1, 10**26, 10**400):
+                with pytest.raises(InvalidScenario,
+                                   match=f"^{key} must be at most"):
+                    ScenarioConfig(**{key: value}).validate()
+
+    def test_seed_is_not_bounded(self):
+        sc = parse_scenario(f"seed = {2**64 - 1}\n")
+        assert sc.seed == 2**64 - 1
+        sc.validate()
+
+    # numeric keys whose range is a rule of their own, not a sign rule
+    OWN_RULE = ("node_count", "sink_id", "seed", "quorum_q", "band_lo",
+                "band_hi", "range_lo", "range_hi", "field_base",
+                "drift_amplitude", "event_magnitude")
+
+    def test_every_numeric_key_has_a_sign_rule(self):
+        numeric = {f.name for f in dataclasses.fields(ScenarioConfig)
+                   if f.type in ("int", "float")}
+        tables = (_POSITIVE, _NON_NEGATIVE, self.OWN_RULE)
+        named = [key for table in tables for key in table]
+        assert len(named) == len(set(named))  # no key in two tables
+        assert set(named) == numeric
+
+    @pytest.mark.parametrize("key", _POSITIVE)
+    def test_positive_key_rejects_zero(self, key):
+        zero = type(getattr(ScenarioConfig(), key))(0)
+        with pytest.raises(InvalidScenario, match=f"^{key} must be positive"):
+            ScenarioConfig(**{key: zero}).validate()
+
+    @pytest.mark.parametrize("key", _NON_NEGATIVE)
+    def test_non_negative_key_rejects_negative(self, key):
+        negative = type(getattr(ScenarioConfig(), key))(-1)
+        with pytest.raises(InvalidScenario,
+                           match=f"^{key} must be non-negative"):
+            ScenarioConfig(**{key: negative}).validate()
+        ScenarioConfig(**{key: negative + 1}).validate()
 
     def test_range_must_cover_band(self):
         with pytest.raises(InvalidScenario):
