@@ -2,10 +2,10 @@
 
 A framework round senses at every alive sensor, then moves the readings over
 three legs: each reading alone from its sensor to its nearest aggregator,
-each aggregator's deduplicated readings to the sub-sink, and the survivors
-of the staircase filter at the sub-sink on to the sink. Baseline mode is
-leg 1 aimed at the sink, with no filter. A delivered reading's hop count is
-the hops over every leg it rode.
+every aggregator's deduplicated readings to the sub-sink, and the survivors
+of the staircase filter, which sees only the readings that reached the
+sub-sink, on to the sink. Baseline mode is leg 1 aimed at the sink, with no
+filter. A delivered reading's hop count is the hops over every leg it rode.
 
 Routes are fixed within a round. Routes and the sink's reachability are
 recomputed in the first round after the alive set shrinks; a round that
@@ -129,8 +129,9 @@ class _Run:
         """Send each `(owner, readings)` along `owner`'s route, in one leg;
         returns the readings that arrive.
 
-        Readings are lost when their owner has no route or when a node on
-        the route dies before they arrive.
+        Readings are lost when their owner is dead (a collector may die
+        receiving them) or has no route, or when a node on the route dies
+        before they arrive. Every leg loses readings by this one rule.
         """
         routes, flows = self.topo.routes, []
         for owner, readings in sends:
@@ -185,8 +186,7 @@ class _Run:
             return
 
         # dedup per aggregator, then leg 2: aggregators -> sub-sink
-        round_context: List[SensorReading] = []
-        at_sub_sink: List[SensorReading] = []
+        outgoing = []
         for a in self.topo.aggregators:
             snap = aggregation.collect_round(arrived[a], round_no)
             if self.sc.dedup_enabled:
@@ -194,15 +194,12 @@ class _Run:
                                                self.dedup_state[a])
                 self.dedup_state[a].update(aggregation.committed_values(snap))
             rep.readings_after_dedup += len(snap.readings)
-            round_context.extend(snap.readings)
-            # an aggregator that died receiving its readings forwards none
-            # and counts none lost
-            if snap.readings and a in self.topo.alive:
-                at_sub_sink.extend(self._send([(a, snap.readings)], round_no))
+            outgoing.append((a, snap.readings))
 
-        # staircase filter at the sub-sink
-        snap = aggregation.collect_round(at_sub_sink, round_no)
-        kept, trace = pipeline.run_pipeline(snap, round_context, self.topo,
+        # staircase filter at the sub-sink, over what reached it
+        snap = aggregation.collect_round(self._send(outgoing, round_no),
+                                         round_no)
+        kept, trace = pipeline.run_pipeline(snap, snap.readings, self.topo,
                                             self.history, self.sc, self.model)
         metrics.record(rep, trace)
         if self.training is not None:

@@ -185,6 +185,8 @@ def run_pipeline(snapshot, round_context: Sequence[SensorReading],
                  model: Optional[ClassifierModel] = None):
     """Apply the four stages in order; returns (survivors, trace).
 
+    `round_context` is what review compares each reading with: the round's
+    readings that reached the filtering node, `snapshot.readings` in a run.
     Updates history_index with the values of forwarded readings only.
     """
     trace = StageTrace()

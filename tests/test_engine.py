@@ -2,16 +2,19 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from iirsim import dissemination, engine, metrics, pipeline, topology
+from iirsim import (aggregation, dissemination, engine, metrics, pipeline,
+                    topology)
 from iirsim.config import ScenarioConfig, parse_scenario
 from iirsim.core import SensorReading
 from iirsim.energy import EnergyLedger
-from iirsim.errors import InvalidScenario
+from iirsim.errors import InvalidScenario, SimError
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
+from random_scenarios import random_scenario
 
 
 def line_fixture(**kw):
@@ -222,6 +225,13 @@ def draining(mode):
     return small_grid(rounds=300, initial_energy_j=2e-4, mode=mode)
 
 
+def even_collectors(mode):
+    """sensor(0) -> aggregator(1) -> sub-sink(2) <- aggregator(3) <- sensor(4),
+    sink(5) past node 4: each aggregator sends one reading every round."""
+    return line_fixture(node_count=6, sink_id=5, aggregator_ids=(1, 3),
+                        rounds=5, mode=mode)
+
+
 class TestHopTotals:
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     @pytest.mark.parametrize("make", [reference, draining])
@@ -320,9 +330,10 @@ class TestHopTotals:
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_one_ledger_call_per_packet(self, monkeypatch, mode):
         # leg 1 is billed per node in every round where it cannot empty a
-        # battery, with its routes walked once per route version; legs 2
-        # and 3, and leg 1 when it can, are billed per packet, with hop
-        # geometry once per flow; never per charge
+        # battery, with its routes walked once per route version; leg 2 may
+        # be too when every aggregator sends the same count, but no round
+        # here bills it so; leg 3, and legs 1 and 2 otherwise, are billed
+        # per packet, with hop geometry once per flow; never per charge
         for make in (reference, draining):
             calls, r = self.count_ledger_calls(monkeypatch, make(mode))
             assert calls["per_node"] > 0
@@ -343,23 +354,74 @@ class TestHopTotals:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["baseline", "framework"])
-@pytest.mark.parametrize("make", [reference, draining])
+@pytest.mark.parametrize("make", [reference, draining, even_collectors])
 def test_per_node_billing_gives_the_per_packet_report(monkeypatch, make, mode,
                                                       seed):
     sc = dataclasses.replace(make(mode), seed=seed)
-    billed = []
+    billed = []  # (origin of the first route, billed per node) per leg
     carry_leg = EnergyLedger.carry_leg
 
-    def counted(*args):
-        got = carry_leg(*args)
-        billed.append(got is not None)
+    def counted(self, routes, *args):
+        got = carry_leg(self, routes, *args)
+        billed.append((routes[0][0], got is not None))
         return got
     monkeypatch.setattr(EnergyLedger, "carry_leg", counted)
     per_node = serialize(engine.run(sc).report, "json")
-    assert any(billed)
+    assert any(b for _, b in billed)
+    if make is even_collectors and mode == "framework":
+        aggregators = build_topology(sc).aggregators
+        assert any(b for origin, b in billed if origin in aggregators)
     # the pass declines every leg, so every packet is carried one by one
     monkeypatch.setattr(EnergyLedger, "carry_leg", lambda *args: None)
     assert serialize(engine.run(sc).report, "json") == per_node
+
+
+def test_every_reading_has_exactly_one_outcome(monkeypatch):
+    # a reading is delivered, lost in transit, suppressed by dedup or
+    # dropped by the staircase; nothing else becomes of it
+    suppressed = staged = 0
+    deduplicate, run_pipeline = aggregation.deduplicate, pipeline.run_pipeline
+
+    def counted_dedup(snap, *args):
+        nonlocal suppressed
+        kept = deduplicate(snap, *args)
+        suppressed += len(snap.readings) - len(kept.readings)
+        return kept
+
+    def counted_pipeline(snapshot, *args):
+        nonlocal staged
+        staged += len(snapshot.readings)
+        return run_pipeline(snapshot, *args)
+    monkeypatch.setattr(aggregation, "deduplicate", counted_dedup)
+    monkeypatch.setattr(pipeline, "run_pipeline", counted_pipeline)
+    rng = random.Random(2024)
+    ran = died = 0
+    for _ in range(300):
+        sc = random_scenario(rng)
+        suppressed = staged = 0
+        try:
+            r = engine.run(sc).report
+        except SimError:
+            continue
+        ran += 1
+        died += r.first_node_death_round is not None
+        outcomes = r.readings_delivered_to_sink + r.readings_lost_in_transit
+        if sc.mode == "framework":
+            outcomes += suppressed + staged - r.readings_after_sentiment
+        assert r.readings_generated == outcomes, sc
+    assert ran >= 200 and 3 * died >= ran
+
+
+def test_review_context_is_what_reached_the_sub_sink(monkeypatch):
+    same = []
+    run_pipeline = pipeline.run_pipeline
+
+    def checked(snapshot, round_context, *args):
+        same.append(Counter(round_context) == Counter(snapshot.readings))
+        return run_pipeline(snapshot, round_context, *args)
+    monkeypatch.setattr(pipeline, "run_pipeline", checked)
+    r = engine.run(draining("framework")).report
+    assert len(same) == r.rounds_completed and all(same)
 
 
 class TestTrainingCollection:
@@ -399,7 +461,7 @@ def test_reference_report_digest(mode):
 # REFERENCE_DIGESTS.
 DRAINING_DIGESTS = {
     "baseline": "e32235777d73bb4176c3c962ade23dfc9f0c64daccb425e28c029264584ac766",
-    "framework": "3b48f2e5c85615264478d013e6bf0326b8cc5a6ad19ab5ac4f6ceae42e18092d",
+    "framework": "dfa7742085c515f59de3a5fe029800fbd7b56db368f4a6b1b3c8ba0f8eb4038d",
 }
 
 
