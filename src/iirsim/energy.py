@@ -111,8 +111,9 @@ class EnergyLedger:
         self._consumed = {n: 0.0 for n in initial_by_node}
         self._comp = {n: 0.0 for n in initial_by_node}
         self.death_rounds: Dict[int, int] = {}  # node -> round, in death order
-        # (routes, nodes, bits, radio, plan or None) of the last carry_leg
-        self._last_leg: Optional[tuple] = None
+        # (routes, nodes, bits, radio, plan or None) of each leg's last
+        # carry_leg, by the role of its first origin
+        self._legs: Dict[object, tuple] = {}
 
     @property
     def first_death_round(self) -> Optional[int]:
@@ -243,23 +244,25 @@ class EnergyLedger:
         `GUARD_BAND`. Otherwise nothing is billed and the result is None.
 
         The routes decide everything but the balances, so their `LegPlan`
-        is built once and kept until a call passes other route list objects
-        (or other `nodes`, `bits` or `radio`); routes are never changed in
-        place. The battery check, which tests each class's leg total
-        against every member's balance and each end's total against its
-        own, and the billing run on every call.
+        is built once and kept until a call for the same leg (the same
+        `role` of the first origin: legs 1 and 2 of a framework round keep
+        a plan each) passes other route list objects, `nodes`, `bits` or
+        `radio`; routes are never changed in place. The battery check, which
+        tests each class's leg total against every member's balance and each
+        end's total against its own, and the billing run on every call.
 
         Returns the plan, whose `tx_billed`, `rx_billed` and `hop_energy`
         give the joules billed per hop.
         """
-        last = self._last_leg
+        leg = nodes[routes[0][0]].role
+        last = self._legs.get(leg)
         if not (last is not None and last[1] is nodes and last[2] == bits
                 and last[3] == radio and len(last[0]) == len(routes)
                 and all(map(is_, last[0], routes))):
-            self._last_leg = None  # the old plan is garbage before the build
-            self._last_leg = (routes, nodes, bits, radio,
-                              self._plan_leg(routes, nodes, bits, radio))
-        plan = self._last_leg[4]
+            self._legs[leg] = last = None  # free the old plan before the build
+            plan = self._plan_leg(routes, nodes, bits, radio)
+            last = self._legs[leg] = (routes, nodes, bits, radio, plan)
+        plan = last[4]
         if plan is None:
             return None
         initial, consumed, comp = self._initial, self._consumed, self._comp

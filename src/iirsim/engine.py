@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import aggregation, dissemination, metrics, pipeline, topology as topo_mod
 from .config import ScenarioConfig
-from .core import SensorReading, mix_seed
+from .core import SensorReading, make_reading, mix_seed
 from .energy import EnergyLedger
 from .errors import InvalidScenario
 from .metrics import MetricsReport
@@ -90,7 +90,7 @@ def sense(node: int, round_no: int, scenario: ScenarioConfig,
     if not math.isfinite(value):
         raise InvalidScenario(f"sensed value {value} at node {node} in round "
                               f"{round_no} is not finite")
-    return SensorReading(node, round_no, value)
+    return make_reading((node, round_no, value, 0.0, 0.0, 0.0))
 
 
 @dataclass
@@ -135,6 +135,8 @@ class _Run:
         """
         routes, flows = self.topo.routes, []
         for owner, readings in sends:
+            if not readings:
+                continue
             route = routes.get(owner)
             if route is None:
                 self.report.readings_lost_in_transit += len(readings)
@@ -152,27 +154,38 @@ class _Run:
         Routes are fixed within a round, so a reading rode its sensor's
         route, then, in framework mode, its aggregator's and the sub-sink's.
         """
-        routes, rep, sub = self.topo.routes, self.report, self.topo.sub_sink
+        routes, rep, topo = self.topo.routes, self.report, self.topo
+        # hops after a sensor's route (legs 2 and 3), by the route's end; the
+        # sub-sink may have no route when nothing was delivered
+        after = {topo.sink: 0}
+        if self.sc.mode == "framework" and readings:
+            tail = len(routes[topo.sub_sink]) - 1
+            after = {a: len(routes[a]) - 1 + tail
+                     for a in topo.aggregators if a in routes}
+        hops = 0
         for r in readings:
             route = routes[r.source]
-            hops = len(route) - 1
-            if self.sc.mode == "framework":
-                hops += len(routes[route[-1]]) - 1 + len(routes[sub]) - 1
-            rep.readings_delivered_to_sink += 1
-            rep.delivered_hops_total += hops
-            if r.source in self.gt.magnitude:
-                rep.event_readings_delivered += 1
-            if self.delivered_all is not None:
-                self.delivered_all.append(r)
+            hops += len(route) - 1 + after[route[-1]]
+        rep.readings_delivered_to_sink += len(readings)
+        rep.delivered_hops_total += hops
+        events = self.gt.magnitude
+        if events:
+            rep.event_readings_delivered += sum(r.source in events
+                                                for r in readings)
+        if self.delivered_all is not None:
+            self.delivered_all.extend(readings)
 
     def _round(self, round_no):
         rep = self.report
         self.gt.advance(round_no, self.event_rng)
         events = self.gt.magnitude
-        readings = [sense(n, round_no, self.sc, self.gt, self.sense_rng)
-                    for n in self.sensors if n in self.topo.alive]
+        sc, gt, rng, alive = self.sc, self.gt, self.sense_rng, self.topo.alive
+        readings = [sense(n, round_no, sc, gt, rng)
+                    for n in self.sensors if n in alive]
         rep.readings_generated += len(readings)
-        rep.event_readings_generated += sum(r.source in events for r in readings)
+        if events:
+            rep.event_readings_generated += sum(r.source in events
+                                                for r in readings)
 
         # leg 1: each reading alone, from its sensor to the end of its route
         baseline = self.sc.mode == "baseline"

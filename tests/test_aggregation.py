@@ -50,6 +50,24 @@ class TestCollect:
         with pytest.raises(StaleReading):
             collect_round([reading(0, 4, 1.0)], 5)
 
+    @pytest.mark.parametrize("incoming, named", [
+        # one stale reading in the middle, below or above the round
+        ([reading(0, 5, 1.0), reading(3, 4, 2.0), reading(1, 5, 3.0)],
+         "node 3 has round 4"),
+        ([reading(0, 5, 1.0), reading(3, 7, 2.0), reading(1, 5, 3.0)],
+         "node 3 has round 7"),
+        # two stale readings: the first in input order is named, not the
+        # first in canonical order
+        ([reading(2, 6, 1.0), reading(0, 5, 1.0), reading(1, 4, 2.0)],
+         "node 2 has round 6"),
+        ([reading(0, 5, 1.0), reading(4, 3, 1.0), reading(1, 4, 2.0)],
+         "node 4 has round 3"),
+    ])
+    def test_first_stale_reading_in_input_order_named(self, incoming, named):
+        with pytest.raises(StaleReading, match=f"^reading from {named}, "
+                                               f"expected 5$"):
+            collect_round(incoming, 5)
+
 
 class TestDeduplicate:
     def test_identity_when_distinct_and_eps_zero(self):

@@ -1,7 +1,7 @@
 import random
 
 from iirsim.core import (HEADER_BITS, READING_BITS, SensorReading,
-                         canonical_order, packet_bits)
+                         canonical_order, make_reading, packet_bits)
 
 
 def reading(source=0, rnd=0, value=0.0):
@@ -59,3 +59,16 @@ class TestReadingAndPacket:
         r = reading()
         assert (r.priority_score, r.opinion_deviation,
                 r.consensus_ratio) == (0.0, 0.0, 0.0)
+
+    def test_make_reading_equals_positional_constructor(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            fields = (rng.randrange(-5, 100), rng.randrange(1000),
+                      rng.uniform(-1e3, 1e3), rng.random(),
+                      rng.choice((0.0, -0.0, rng.expovariate(1.0))),
+                      rng.random())
+            made = make_reading(fields)
+            want = SensorReading(*fields)
+            assert type(made) is SensorReading
+            assert made == want and made.key() == want.key()
+            assert [repr(f) for f in made] == [repr(f) for f in want]

@@ -225,6 +225,12 @@ def assert_same_outcome(a, b):
     assert sa == sb
 
 
+def kept_plan(ledger):
+    """The one leg plan `ledger` keeps."""
+    (kept,) = ledger._legs.values()
+    return kept[4]
+
+
 def uniform_spot(rng):
     return (rng.uniform(0, 40), rng.uniform(0, 40))
 
@@ -276,7 +282,7 @@ def check_random_legs(rng, spot, legs=150):
         carried, deaths = bool(got[3]), bool(got[0].death_rounds)
         outcomes.add((carried, deaths))
         if not carried:
-            plans.append(got[0]._last_leg[4])
+            plans.append(kept_plan(got[0]))
     return outcomes, plans
 
 
@@ -347,7 +353,7 @@ class TestPerNodeBilling:
                                               decline=True))
             ledger, _, _, carried, _ = got
             assert carried == [] and ledger.death_rounds == {}
-        plan = ledger._last_leg[4]
+        plan = kept_plan(ledger)
         assert sorted(members for *_, members in plan.classes) == [
             [1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]]
         assert ledger._consumed[5] != ledger._consumed[2]
@@ -367,7 +373,7 @@ class TestPerNodeBilling:
         assert_same_outcome(got, send_leg(make, 0.37, rounds=1, decline=True))
         ledger, _, _, carried, _ = got
         assert carried and ledger.death_rounds == {8: 0}
-        plan = ledger._last_leg[4]
+        plan = kept_plan(ledger)
         assert [2, 5, 8, 11] in [members for *_, members in plan.classes]
 
     def test_seeded_random_legs_equal_per_packet(self):

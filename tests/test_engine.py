@@ -14,7 +14,7 @@ from iirsim.energy import EnergyLedger
 from iirsim.errors import InvalidScenario, SimError
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
-from random_scenarios import random_scenario
+from random_scenarios import OPEN_THRESHOLDS, random_scenario
 
 
 def line_fixture(**kw):
@@ -352,6 +352,29 @@ class TestHopTotals:
                 assert calls["recompute_routes"] > 1
 
 
+def test_each_leg_keeps_its_plan(monkeypatch):
+    # leg 1 and leg 2 are both billed per node on even_collectors, each
+    # on one route version for the whole run
+    plans = 0
+    plan_leg = EnergyLedger._plan_leg
+
+    def counted(*args):
+        nonlocal plans
+        plans += 1
+        return plan_leg(*args)
+    monkeypatch.setattr(EnergyLedger, "_plan_leg", counted)
+    engine.run(even_collectors("framework"))
+    assert plans == 2
+    plans = 0
+    rng = random.Random(2024)
+    for _ in range(400):
+        try:
+            engine.run(random_scenario(rng))
+        except SimError:
+            pass
+    assert plans <= 548
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["baseline", "framework"])
 @pytest.mark.parametrize("make", [reference, draining, even_collectors])
@@ -469,6 +492,35 @@ DRAINING_DIGESTS = {
 def test_draining_report_digest(mode):
     text = serialize(engine.run(draining(mode)).report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == DRAINING_DIGESTS[mode]
+
+
+def opened(**kw):
+    """The reference framework scenario for 200 rounds with every filter
+    threshold open, so every reading runs all four stages and rides all
+    three legs."""
+    return dataclasses.replace(reference("framework"), rounds=200,
+                               **OPEN_THRESHOLDS, **kw)
+
+
+# sha256 of the JSON report of `opened()`, and of `opened()` with batteries
+# small enough that nodes die from round 58. Re-pinned like
+# REFERENCE_DIGESTS.
+OPEN_DIGESTS = {
+    "open": "4359e8b571a1785c5f4939a3a0a4de248161cca7b06732ff4ba35f02fb4c3ccc",
+    "open_draining":
+        "523b848f1fc35e2f25742806177911e199db7648be058004503c80a4ba4fb3de",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_DIGESTS))
+def test_open_report_digest(name):
+    sc = opened(**({"initial_energy_j": 0.05} if name == "open_draining"
+                   else {}))
+    report = engine.run(sc).report
+    if name == "open_draining":
+        assert report.first_node_death_round == 58
+    text = serialize(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == OPEN_DIGESTS[name]
 
 
 def trained():

@@ -107,6 +107,73 @@ class TestReview:
                                   context, t, CFG)
         assert kept[0].consensus_ratio == 1.0
 
+    def test_matches_list_building_oracle(self):
+        # sparse random graphs with dead nodes; context sources with up to
+        # three values, on a 0.5 lattice so that some lie exactly tau_r away
+        rng = random.Random(4242)
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            p = rng.choice((0.15, 0.3, 0.5))
+            adjacency = {i: set() for i in range(n)}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        adjacency[i].add(j)
+                        adjacency[j].add(i)
+            nodes = [Node(i, NodeRole.SENSOR, (float(i), 0.0))
+                     for i in range(n)]
+            alive = {i for i in range(n) if rng.random() < 0.8}
+            t = Topology(nodes=nodes, comm_radius=1.0, adjacency=adjacency,
+                         alive=alive, sink=0, sub_sink=None, aggregators=())
+            context = [reading(source=s, value=rng.randrange(40, 60) / 2)
+                       for s in rng.sample(range(n), rng.randint(0, n))
+                       for _ in range(rng.choice((1, 1, 2, 3)))]
+            rng.shuffle(context)
+            readings = [reading(source=rng.randrange(n),
+                                value=rng.randrange(40, 60) / 2)
+                        for _ in range(rng.randint(0, 8))]
+            cfg = ScenarioConfig(tau_r=rng.choice((0.0, 0.5, 1.0, 2.0)),
+                                 quorum_q=rng.choice((0.0, 0.3, 0.5, 2 / 3,
+                                                      1.0)))
+            got = review_analysis(readings, context, t, cfg)
+            assert got == review_oracle(readings, context, t, cfg)
+            assert {id(d) for d in got[1]} <= {id(r) for r in readings}
+            sources = Counter(c.source for c in context)
+            seen["clique"] += all(len(adjacency[i]) == n - 1
+                                  for i in range(n))
+            seen["multi"] += max(sources.values(), default=0) >= 2
+            for r in readings:
+                heard = [s for s in adjacency[r.source] if s in sources]
+                seen["dead"] += any(s not in alive for s in heard)
+                seen["unheard"] += not heard
+                seen["partial"] += 0 < len(got[0]) < len(readings)
+        assert seen["clique"] < 400
+        assert min(seen[k] for k in ("multi", "dead", "unheard",
+                                     "partial")) >= 30, seen
+
+
+def review_oracle(readings, round_context, topology, cfg):
+    """The review stage as a list per reading: the context values of its
+    alive neighbours, then the share of them within tau_r."""
+    by_source = {}
+    for c in round_context:
+        by_source.setdefault(c.source, []).append(c.value)
+    kept, dropped = [], []
+    for r in readings:
+        peers = [v for s in topology.adjacency[r.source]
+                 if s in topology.alive for v in by_source.get(s, ())]
+        if peers:
+            ratio = sum(1 for v in peers
+                        if abs(v - r.value) <= cfg.tau_r) / len(peers)
+        else:
+            ratio = 1.0
+        if ratio >= cfg.quorum_q:
+            kept.append(r._replace(consensus_ratio=ratio))
+        else:
+            dropped.append(r)
+    return kept, dropped
+
 
 class TestPerceptron:
     def test_single_example_learned(self):
