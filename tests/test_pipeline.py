@@ -70,6 +70,28 @@ class TestOpinion:
         assert dropped == [r] and dropped[0] is r
 
 
+def review_oracle(readings, round_context, topology, cfg):
+    """The review stage as a list per reading: the context values of its
+    alive neighbours, then the share of them within tau_r."""
+    by_source = {}
+    for c in round_context:
+        by_source.setdefault(c.source, []).append(c.value)
+    kept, dropped = [], []
+    for r in readings:
+        peers = [v for s in topology.adjacency[r.source]
+                 if s in topology.alive for v in by_source.get(s, ())]
+        if peers:
+            ratio = sum(1 for v in peers
+                        if abs(v - r.value) <= cfg.tau_r) / len(peers)
+        else:
+            ratio = 1.0
+        if ratio >= cfg.quorum_q:
+            kept.append(r._replace(consensus_ratio=ratio))
+        else:
+            dropped.append(r)
+    return kept, dropped
+
+
 class TestReview:
     def test_no_neighbors_sparse_default(self):
         t = clique_topology(1)
@@ -151,28 +173,6 @@ class TestReview:
         assert seen["clique"] < 400
         assert min(seen[k] for k in ("multi", "dead", "unheard",
                                      "partial")) >= 30, seen
-
-
-def review_oracle(readings, round_context, topology, cfg):
-    """The review stage as a list per reading: the context values of its
-    alive neighbours, then the share of them within tau_r."""
-    by_source = {}
-    for c in round_context:
-        by_source.setdefault(c.source, []).append(c.value)
-    kept, dropped = [], []
-    for r in readings:
-        peers = [v for s in topology.adjacency[r.source]
-                 if s in topology.alive for v in by_source.get(s, ())]
-        if peers:
-            ratio = sum(1 for v in peers
-                        if abs(v - r.value) <= cfg.tau_r) / len(peers)
-        else:
-            ratio = 1.0
-        if ratio >= cfg.quorum_q:
-            kept.append(r._replace(consensus_ratio=ratio))
-        else:
-            dropped.append(r)
-    return kept, dropped
 
 
 class TestPerceptron:
