@@ -5,8 +5,8 @@ import functools
 import os
 import tempfile
 from enum import Enum
-from operator import itemgetter
-from typing import NamedTuple, Sequence, Tuple, Type
+from operator import add, itemgetter
+from typing import Iterable, NamedTuple, Sequence, Tuple, Type
 
 from .errors import SimError
 
@@ -73,6 +73,29 @@ def canonical_order(readings: Sequence[SensorReading]) -> list:
     """Stable sort by (round, source, value); the determinism anchor for
     every operation that iterates over a round's readings."""
     return sorted(readings, key=_ROUND_SOURCE_VALUE)
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """The total of `values` added left to right from int 0, rounding once
+    per add: the one rule for a plain float total.
+
+    Builtin `sum` must not total floats here: from CPython 3.12 it
+    compensates float sums (gh-100425), so the same run would give other
+    bits on 3.12 than on 3.10 and 3.11. This is 3.11's `sum`, exactly.
+    """
+    return functools.reduce(add, values, 0)
+
+
+def kahan_add(total: float, comp: float,
+              values: Iterable[float]) -> Tuple[float, float]:
+    """Kahan-add `values`, in order, to `total` with compensation `comp`;
+    returns the new (total, comp): the one rule for an energy total."""
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total, comp
 
 
 def mix_seed(seed: int, salt: int) -> int:

@@ -26,6 +26,8 @@ from itertools import islice, repeat
 from operator import is_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .core import kahan_add
+
 E_ELEC_DEFAULT = 50e-9    # J/bit, transceiver electronics
 E_AMP_DEFAULT = 100e-12   # J/bit/m^2, free-space amplifier
 
@@ -75,6 +77,8 @@ def _chain(c: float, m: float, rx: float, tx: float, k: int,
            after: int) -> Tuple[float, float]:
     """The (consumed, comp) that `debit`'s Kahan steps leave after a
     sender's pattern of charges (see `LegPlan.classes`), from (c, m)."""
+    # The steps stay inline rather than `core.kahan_add` over a sequence of
+    # the charges: this loop is about 20 % of a `baseline-1600` profile.
     for _ in repeat(None, k):
         y = rx - m
         t = c + y
@@ -145,7 +149,8 @@ class EnergyLedger:
             self._comp[node] = 0.0
             self.death_rounds[node] = round_no
             return remaining
-        # Kahan step keeps long debit chains reconcilable bit-for-bit.
+        # Kahan step keeps long debit chains reconcilable bit-for-bit; it
+        # stays inline, as the reference the other billing paths follow.
         y = amount - self._comp[node]
         t = consumed + y
         self._comp[node] = (t - consumed) - y
@@ -178,7 +183,8 @@ class EnergyLedger:
         killed: List[int] = []
         inf = math.inf
         # The two charges below are debit()'s steps with the checks that a
-        # positive charge to an alive node makes redundant left out.
+        # positive charge to an alive node makes redundant left out, inline
+        # because this is the per-packet hot loop.
         for a, b, d in legs:
             if not (consumed[a] < initial[a] and consumed[b] < initial[b]):
                 return billed, False, killed
@@ -292,13 +298,8 @@ class EnergyLedger:
                 else:
                     consumed[a], comp[a] = _chain(c, m, rx, tx, k, after)
         for e, k, _ in plan.ends:
-            c, m = consumed[e], comp[e]
-            for _ in repeat(None, k):
-                y = rx - m
-                t = c + y
-                m = (t - c) - y
-                c = t
-            consumed[e], comp[e] = c, m
+            consumed[e], comp[e] = kahan_add(consumed[e], comp[e],
+                                             repeat(rx, k))
         return plan
 
     def _plan_leg(self, routes, nodes, bits, radio) -> Optional[LegPlan]:

@@ -38,10 +38,12 @@ TRAIN_SEED_OFFSET = 7919  # warm-up labeling run uses seed + this
 class GroundTruth:
     """Injected field events; visible to labeling and metrics only.
 
-    Each active event is an `(x, y, end_round)` tuple, active up to but not
-    including `end_round`. `magnitude` holds the current round only: each
-    sensor inside at least one active event, mapped to the summed magnitude
-    of those events.
+    Each active event is an `(end_round, covered)` pair, active up to but not
+    including `end_round`; `covered` lists, in node-id order, the sensors
+    within `event_radius` of the event's centre, found once when it spawns.
+    `magnitude` holds the current round only: each sensor inside at least
+    one active event, mapped to `event_magnitude` folded once per such event
+    from 0 (`core.fold_sum`'s rule).
     `base` is the current round's field without noise or events: the base
     field plus the round's sinusoidal drift.
     """
@@ -51,7 +53,7 @@ class GroundTruth:
         self._extent = topo.extent()
         self._sensors = [(n.id, n.pos) for n in topo.nodes
                          if n.role is topo_mod.NodeRole.SENSOR]
-        self._active: List[Tuple[float, float, int]] = []
+        self._active: List[Tuple[int, List[int]]] = []
         self.magnitude: Dict[int, float] = {}
         self.base = math.nan  # set by advance
 
@@ -60,22 +62,21 @@ class GroundTruth:
         events, its `magnitude`."""
         self.base = self._sc.field_base + self._sc.drift_amplitude * math.sin(
             2.0 * math.pi * round_no / self._sc.drift_period)
-        self._active = [e for e in self._active if e[2] > round_no]
+        self._active = [e for e in self._active if e[0] > round_no]
         # one draw per round regardless of rate, to keep streams aligned
         spawn = rng.random() < self._sc.event_rate
         if spawn:
             x = rng.uniform(0.0, max(self._extent[0], 1.0))
             y = rng.uniform(0.0, max(self._extent[1], 1.0))
-            self._active.append((x, y, round_no + self._sc.event_duration))
-        radius, mag = self._sc.event_radius, self._sc.event_magnitude
-        self.magnitude = {}
-        if not self._active:
-            return
-        for node, (px, py) in self._sensors:
-            inside = [mag for x, y, _ in self._active
-                      if math.hypot(px - x, py - y) <= radius]
-            if inside:
-                self.magnitude[node] = sum(inside)
+            radius = self._sc.event_radius
+            self._active.append((round_no + self._sc.event_duration, [
+                node for node, (px, py) in self._sensors
+                if math.hypot(px - x, py - y) <= radius]))
+        mag = self._sc.event_magnitude
+        self.magnitude = magnitude = {}
+        for _, covered in self._active:
+            for node in covered:
+                magnitude[node] = magnitude.get(node, 0) + mag
 
 
 def sense(node: int, round_no: int, scenario: ScenarioConfig,
@@ -188,15 +189,14 @@ class _Run:
                                                 for r in readings)
 
         # leg 1: each reading alone, from its sensor to the end of its route
-        baseline = self.sc.mode == "baseline"
-        routes = self.topo.routes
-        ends = (self.topo.sink,) if baseline else self.topo.aggregators
-        arrived: Dict[int, List[SensorReading]] = {a: [] for a in ends}
-        for d in self._send(((r.source, (r,)) for r in readings), round_no):
-            arrived[routes[d.source][-1]].append(d)
-        if baseline:
-            self._deliver(arrived[self.topo.sink])
+        landed = self._send(((r.source, (r,)) for r in readings), round_no)
+        if self.sc.mode == "baseline":
+            self._deliver(landed)
             return
+        routes = self.topo.routes
+        arrived = {a: [] for a in self.topo.aggregators}
+        for d in landed:
+            arrived[routes[d.source][-1]].append(d)
 
         # dedup per aggregator, then leg 2: aggregators -> sub-sink
         outgoing = []

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from .core import STAGES
+from .core import STAGES, kahan_add
 
 if TYPE_CHECKING:
     from .pipeline import StageTrace
@@ -44,13 +44,8 @@ class MetricsReport:
     def add_energy(self, hop_energies: Iterable[float]) -> None:
         """Kahan-add billed hop energies, in the given order, to
         total_energy_consumed_j: hop energies are tiny against the total."""
-        total, comp = self.total_energy_consumed_j, self._energy_comp
-        for e in hop_energies:
-            y = e - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        self.total_energy_consumed_j, self._energy_comp = total, comp
+        self.total_energy_consumed_j, self._energy_comp = kahan_add(
+            self.total_energy_consumed_j, self._energy_comp, hop_energies)
 
 
 COLUMNS = [f.name for f in fields(MetricsReport) if f.compare]

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import (Deque, Dict, List, Mapping, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
 from .core import (LABEL_DISCARD, LABEL_FORWARD, STAGE_OPINION, STAGE_PRIORITY,
                    STAGE_REVIEW, STAGE_SENTIMENT, SensorReading, _atomic_write,
-                   _read_text, make_reading)
+                   _read_text, fold_sum, make_reading)
 from .errors import EmptyTrainingSet, InvalidValue
 from .topology import Topology
 
@@ -44,7 +45,7 @@ class ClassifierModel:
 
     def decide(self, x: Sequence[float]) -> bool:
         # Strict inequality: the all-zero model discards everything.
-        return sum(w * xi for w, xi in zip(self.weights, x)) > 0
+        return fold_sum(map(mul, self.weights, x)) > 0
 
 
 @dataclass
@@ -92,7 +93,7 @@ def opinion_analysis(readings: Sequence[SensorReading],
             continue
         hist = history(source)
         if hist:
-            deviation = abs(value - sum(hist) / len(hist))
+            deviation = abs(value - fold_sum(hist) / len(hist))
             ok = deviation >= delta_o
         else:
             deviation = cfg.band_width  # cold start always passes
@@ -150,7 +151,7 @@ def train_classifier(
         updated = False
         for x, label in examples:
             y = 1.0 if label == LABEL_FORWARD else -1.0
-            pred = 1.0 if sum(wi * xi for wi, xi in zip(w, x)) > 0 else -1.0
+            pred = 1.0 if fold_sum(map(mul, w, x)) > 0 else -1.0
             if pred != y:
                 for i in range(N_FEATURES):
                     w[i] += y * x[i]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     TYPE_CHECKING)
 
-from .core import NodeRole, mix_seed
+from .core import NodeRole, fold_sum, mix_seed
 from .errors import DisconnectedTopology, InvalidScenario, NoRoute
 
 if TYPE_CHECKING:
@@ -76,8 +76,8 @@ def _assign_roles(scenario: "ScenarioConfig",
     sink = scenario.sink_id
     sub_sink = scenario.sub_sink
     if sub_sink == "auto":
-        cx = sum(p[0] for p in positions) / n
-        cy = sum(p[1] for p in positions) / n
+        cx = fold_sum(p[0] for p in positions) / n
+        cy = fold_sum(p[1] for p in positions) / n
         try:
             _, sub_sink = min(((x - cx) ** 2 + (y - cy) ** 2, i)
                               for i, (x, y) in enumerate(positions) if i != sink)

@@ -114,6 +114,14 @@ class TestRun:
                      "--format", "json", "--quiet", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["rounds_completed"] == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_without_extension_takes_the_format(self, scenario, tmp_path,
+                                                    monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", scenario(LINE_FIXTURE), "--format",
+                     fmt, "--quiet", "--out", "report"]) == 0
+        assert [p.name for p in tmp_path.glob("report*")] == [f"report.{fmt}"]
+
     def test_unknown_key_surfaced(self, scenario, tmp_path, capsys):
         code = main(["run", "--scenario", scenario("node_cout = 4\n"),
                      "--out", str(tmp_path / "r.csv")])
@@ -220,6 +228,19 @@ class TestCompare:
         assert row.split(",")[3] == "1.0"
         assert os.path.exists(str(tmp_path / "cmp_baseline.csv"))
         assert os.path.exists(str(tmp_path / "cmp_framework.csv"))
+
+    def test_table_printed_in_aligned_columns(self, scenario, tmp_path,
+                                              capsys):
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", "--scenario", scenario(LINE_FIXTURE),
+                     "--out", out]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in
+                (tmp_path / "cmp_compare.csv").read_text().splitlines()]
+        # each printed cell starts where its column's header does
+        starts = [printed[0].index(name) for name in rows[0]]
+        assert [[line[i:].split(" ", 1)[0] for i in starts]
+                for line in printed] == rows
 
     def test_zero_rounds_all_undefined(self, scenario, tmp_path):
         out = str(tmp_path / "cmp.csv")

@@ -48,6 +48,7 @@ class TestParse:
     def test_aggregator_id_list(self):
         sc = parse_scenario("aggregator_ids = 3, 5, 9\n")
         assert sc.aggregator_ids == (3, 5, 9)
+        assert parse_scenario("aggregator_ids =\n").aggregator_ids == ()
 
     def test_repeated_key_rejected(self):
         with pytest.raises(InvalidValue, match="line 3.*rounds"):
@@ -55,6 +56,7 @@ class TestParse:
 
     def test_bool_keys(self):
         assert parse_scenario("dedup_enabled = false\n").dedup_enabled is False
+        assert parse_scenario("dedup_enabled = true\n").dedup_enabled is True
         with pytest.raises(InvalidValue):
             parse_scenario("dedup_enabled = yes\n")
 

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import math
+import operator
 import random
 from collections import Counter
 
@@ -9,7 +11,7 @@ import pytest
 from iirsim import (aggregation, dissemination, engine, metrics, pipeline,
                     topology)
 from iirsim.config import ScenarioConfig, parse_scenario
-from iirsim.core import SensorReading
+from iirsim.core import NodeRole, SensorReading, mix_seed
 from iirsim.energy import EnergyLedger
 from iirsim.errors import InvalidScenario, SimError
 from iirsim.metrics import serialize
@@ -102,6 +104,124 @@ class TestSense:
         gt.advance(0, random.Random(1))
         with pytest.raises(InvalidScenario, match="not finite"):
             engine.sense(0, 0, sc, gt, random.Random(0))
+
+
+def left_fold(values):
+    """The plain float total every float sum in the program uses: left to
+    right from int 0, one rounding per add (CPython 3.11's `sum`)."""
+    return functools.reduce(operator.add, values, 0)
+
+
+class ScannedEvents:
+    """The round's event bumps by a scan of every sensor against every
+    active event, each bump the left fold of those events' magnitudes in
+    spawn order: the reference for `GroundTruth.advance`, which finds each
+    event's sensors once, when it spawns."""
+
+    def __init__(self, scenario, topo):
+        self.sc, self.extent = scenario, topo.extent()
+        self.sensors = [(n.id, n.pos) for n in topo.nodes
+                        if n.role is NodeRole.SENSOR]
+        self.active = []  # (x, y, end_round)
+        self.most_overlapping = 0  # the most events covering one sensor
+        self.rounded = False  # whether a bump differs from count * magnitude
+
+    def advance(self, round_no, rng):
+        sc = self.sc
+        self.active = [e for e in self.active if e[2] > round_no]
+        if rng.random() < sc.event_rate:
+            x = rng.uniform(0.0, max(self.extent[0], 1.0))
+            y = rng.uniform(0.0, max(self.extent[1], 1.0))
+            self.active.append((x, y, round_no + sc.event_duration))
+        magnitude = {}
+        for node, (px, py) in self.sensors:
+            inside = [sc.event_magnitude for x, y, _ in self.active
+                      if math.hypot(px - x, py - y) <= sc.event_radius]
+            if inside:
+                magnitude[node] = left_fold(inside)
+                self.most_overlapping = max(self.most_overlapping,
+                                            len(inside))
+                self.rounded |= magnitude[node] != len(inside) * inside[0]
+        return magnitude
+
+
+@pytest.mark.parametrize("magnitude", [0.7, 0.1, 1.3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_event_footprints_give_the_scanned_bumps(monkeypatch, magnitude,
+                                                 seed):
+    # sensors die from round 25, and up to a dozen events of a magnitude
+    # with no exact binary form overlap, so the fold's rounding shows
+    sc = small_grid(rounds=60, initial_energy_j=2e-3, mode="baseline",
+                    seed=seed, event_rate=0.9, event_duration=12,
+                    event_radius=15.0, event_magnitude=magnitude)
+    scans, rounds = {}, []
+    advance = engine.GroundTruth.advance
+
+    def checked(gt, round_no, rng):
+        scan = scans.get(gt)
+        if scan is None:
+            scan = scans[gt] = ScannedEvents(sc, build_topology(sc))
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        advance(gt, round_no, rng)
+        want = scan.advance(round_no, twin)
+        assert gt.magnitude == want, round_no
+        assert rng.getstate() == twin.getstate()
+        rounds.append(round_no)
+    monkeypatch.setattr(engine.GroundTruth, "advance", checked)
+    r = engine.run(sc).report
+    assert rounds == list(range(r.rounds_completed))
+    dead = [n for n in build_topology(sc).sensors()
+            if r.per_node_energy_remaining_j[n] == 0.0]
+    assert dead and r.first_node_death_round < r.rounds_completed - 1
+    (scan,) = scans.values()
+    assert scan.most_overlapping >= 6 and scan.rounded
+
+
+def compensated_sum(values, start=0):
+    """CPython 3.12's builtin `sum`: exact while the items are ints, then
+    Neumaier-compensated from the first float on."""
+    total, comp, floats = start, 0.0, False
+    for v in values:
+        if not floats:
+            if not isinstance(v, float):
+                total += v
+                continue
+            floats, total = True, float(total)
+        v = float(v)
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    if floats and comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_no_output_depends_on_the_builtin_sum(monkeypatch):
+    # A uniform layout with every threshold open, where about ten events of
+    # magnitude 0.7 overlap: a compensated `sum` of the bumps, the
+    # perceptron's dot products or the centroid would change some bits.
+    sc = ScenarioConfig(node_count=30, placement="uniform", comm_radius=20.0,
+                        rounds=40, event_rate=0.9, event_duration=12,
+                        event_magnitude=0.7, event_radius=30.0,
+                        **OPEN_THRESHOLDS)
+
+    def outputs():
+        examples = engine.collect_training_examples(sc)
+        yield examples
+        model = pipeline.train_classifier(examples)
+        yield model.weights
+        yield serialize(engine.run(sc, model=model).report, "json")
+    want = list(outputs())
+    for module in (engine, pipeline, topology):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    # examples first: the perceptron is slow under a Python-level `sum`
+    for name, got, expected in zip(("examples", "weights", "report"),
+                                   outputs(), want):
+        assert got == expected, name
 
 
 class TestRun:

@@ -16,6 +16,7 @@ from iirsim.pipeline import (ClassifierModel, features, load_model,
                              sentiment_classify, train_classifier,
                              training_accuracy)
 from iirsim.topology import Node, Topology
+from test_engine import left_fold
 
 CFG = ScenarioConfig()  # band [20, 30], theta 0.1, delta 0.5, tau 2, quorum 0.3
 
@@ -201,7 +202,8 @@ class TestPerceptron:
             changed = False
             for x, label in examples:
                 y = 1.0 if label == LABEL_FORWARD else -1.0
-                if (1.0 if sum(a * b for a, b in zip(w, x)) > 0 else -1.0) != y:
+                dot = left_fold(a * b for a, b in zip(w, x))
+                if (1.0 if dot > 0 else -1.0) != y:
                     w = [wi + y * xi for wi, xi in zip(w, x)]
                     changed = True
             if not changed:
@@ -225,6 +227,18 @@ class TestPerceptron:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
             train_classifier([])
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: training_accuracy(ClassifierModel((0.0,) * 5), []),
+         EmptyTrainingSet),
+        (lambda: ClassifierModel((1.0,) * 4), ValueError),
+        (lambda: train_classifier([((1.0,) * 4, LABEL_FORWARD)]), ValueError),
+        (lambda: train_classifier([((1.0,) * 5, "keep")]), ValueError),
+    ], ids=["accuracy_of_nothing", "four_weights", "four_features",
+            "unknown_label"])
+    def test_malformed_input_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_model_file_round_trip(self, tmp_path):
         model = ClassifierModel(weights=(0.1, -2.5, 3.0, 0.0, 1e-17))

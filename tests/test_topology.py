@@ -11,7 +11,7 @@ from iirsim.errors import DisconnectedTopology, InvalidScenario, NoRoute
 from iirsim.topology import (Node, Topology, build_topology,
                              recompute_routes, shortest_hop_path,
                              sink_reachable)
-from test_engine import draining
+from test_engine import draining, left_fold
 
 
 def line_scenario(**kw):
@@ -157,8 +157,8 @@ def per_id_roles(scenario, positions):
     sink = scenario.sink_id
     sub_sink = scenario.sub_sink
     if sub_sink == "auto":
-        cx = sum(p[0] for p in positions) / n
-        cy = sum(p[1] for p in positions) / n
+        cx = left_fold(p[0] for p in positions) / n
+        cy = left_fold(p[1] for p in positions) / n
         sub_sink = min((i for i in range(n) if i != sink),
                        key=lambda i: ((positions[i][0] - cx) ** 2
                                       + (positions[i][1] - cy) ** 2, i))
