@@ -51,7 +51,7 @@ class GroundTruth:
     def __init__(self, scenario: ScenarioConfig, topo: topo_mod.Topology):
         self._sc = scenario
         self._extent = topo.extent()
-        self._sensors = [(n.id, n.pos) for n in topo.nodes
+        self._sensors = [n for n in topo.nodes
                          if n.role is topo_mod.NodeRole.SENSOR]
         self._active: List[Tuple[int, List[int]]] = []
         self.magnitude: Dict[int, float] = {}
@@ -70,7 +70,7 @@ class GroundTruth:
             y = rng.uniform(0.0, max(self._extent[1], 1.0))
             radius = self._sc.event_radius
             self._active.append((round_no + self._sc.event_duration, [
-                node for node, (px, py) in self._sensors
+                node for node, _, (px, py) in self._sensors
                 if math.hypot(px - x, py - y) <= radius]))
         mag = self._sc.event_magnitude
         self.magnitude = magnitude = {}

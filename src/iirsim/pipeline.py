@@ -119,7 +119,7 @@ def review_analysis(readings: Sequence[SensorReading],
     for r in readings:
         source, rnd, value, score, deviation, _ = r
         n = close = 0  # neighbour readings, and those within tau_r
-        for s in adjacency[source] & heard:
+        for s in heard.intersection(adjacency[source]):
             values = by_source[s]
             n += len(values)
             for v in values:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     TYPE_CHECKING)
 
@@ -26,7 +27,7 @@ class Node(NamedTuple):
 class Topology:
     nodes: List[Node]
     comm_radius: float
-    adjacency: Dict[int, Set[int]]
+    adjacency: Dict[int, List[int]]  # neighbour ids, sorted
     alive: Set[int]
     sink: int
     sub_sink: Optional[int]
@@ -108,8 +109,9 @@ def _assign_roles(scenario: "ScenarioConfig",
 
 
 def _adjacency(positions: List[Tuple[float, float]],
-               r: float) -> Dict[int, Set[int]]:
-    """Pairs with `hypot <= r`, tested only between neighbouring cells.
+               r: float) -> Dict[int, List[int]]:
+    """Each node's neighbours, the ids within `hypot <= r`, as a sorted
+    list; pairs are tested only between neighbouring cells.
 
     Cells are `r` wide, widened by a relative 1e-9. Float division is
     monotone and exact on every integer a quotient can reach while two
@@ -127,10 +129,11 @@ def _adjacency(positions: List[Tuple[float, float]],
             cells.setdefault(key, []).append((i, x, y))
     except (ValueError, OverflowError):
         cells = {(0, 0): [(i, x, y) for i, (x, y) in enumerate(positions)]}
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(positions))}
+    adjacency: Dict[int, List[int]] = {i: [] for i in range(len(positions))}
     hypot = math.hypot
     # Each pair of neighbouring cells is visited once: a cell's members
     # meet the members after them and the four cells after it in (x, y).
+    # So every pair is tested once, and appending gives no duplicates.
     for (cx, cy), members in cells.items():
         near = members[:]
         for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
@@ -140,8 +143,10 @@ def _adjacency(positions: List[Tuple[float, float]],
             links = adjacency[i]
             for j, xj, yj in near[k:]:
                 if hypot(xi - xj, yi - yj) <= r:
-                    links.add(j)
-                    adjacency[j].add(i)
+                    links.append(j)
+                    adjacency[j].append(i)
+    for links in adjacency.values():
+        links.sort()
     return adjacency
 
 
@@ -194,7 +199,7 @@ def hop_distances(t: Topology, sources: Sequence[int]
         nxt = []
         for i, u in sorted(frontier):
             d = dist[u] + 1
-            for v in adjacency[u].difference(dist):
+            for v in filterfalse(dist.__contains__, adjacency[u]):
                 if v in alive:
                     dist[v] = d
                     next_hop[v] = u

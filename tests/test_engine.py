@@ -222,6 +222,25 @@ def test_no_output_depends_on_the_builtin_sum(monkeypatch):
     for name, got, expected in zip(("examples", "weights", "report"),
                                    outputs(), want):
         assert got == expected, name
+    # Exact ties, where the last bits decide: each result below is the left
+    # fold's, and a compensated total gives the other one.
+    w, x = (1.0, 1e-16, -1.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0, 0.0)
+    assert left_fold(map(operator.mul, w, x)) == 0.0
+    assert compensated_sum(map(operator.mul, w, x)) == 1e-16
+    assert not pipeline.ClassifierModel(w).decide(x)
+    forward = pipeline.LABEL_FORWARD
+    model = pipeline.train_classifier([((1.0, 1e-16, -1.0, 0, 0), forward),
+                                       ((1.0, 1.0, 1.0, 0, 0), forward)])
+    assert model.weights == (2.0, 1.0, 0.0, 0.0, 0.0)
+    # centroid x: 0.3 / 5 by the fold, nearest node 3; 1.3 / 5 compensated,
+    # nearest node 4
+    line = ScenarioConfig(node_count=5, placement="line", sink_id=1,
+                          sub_sink="auto", aggregator_every=0,
+                          mode="baseline")
+    xs = (1e16, 1.0, -1e16, 0.0, 0.3)
+    assert (left_fold(xs), compensated_sum(xs)) == (0.3, 1.3)
+    _, _, sub_sink, _ = topology._assign_roles(line, [(x, 0.0) for x in xs])
+    assert sub_sink == 3
 
 
 class TestRun:
