@@ -244,39 +244,30 @@ def recompute_routes(t: Topology, mode: str) -> None:
     """Refresh the route table and `sink_hops`; nodes without a route are
     omitted.
 
-    Baseline routes every alive sensor to the sink. Framework routes the
-    sink to itself, the sub-sink to the sink, each aggregator to the
-    sub-sink, and each sensor to its collector: the nearest alive
-    aggregator by hop count, the first in `t.aggregators` order on equal
-    hops. Each hop goes to the lowest-id alive neighbour one hop nearer to
-    the route's target. One BFS runs per distinct source tuple: one in
-    baseline, at most three in framework. The sink's field always runs, and
-    its hop counts become `t.sink_hops`: every alive node that can reach it.
+    Baseline routes every alive sensor on the sink's field. Framework
+    routes the sink and the sub-sink on the sink's field, each aggregator
+    on the sub-sink's field, and each sensor on the aggregators' field, to
+    its collector: the nearest alive aggregator by hop count, the first in
+    `t.aggregators` order on equal hops. Each hop goes to the lowest-id
+    alive neighbour one hop nearer to the field's sources. One BFS runs per
+    field: one in baseline, three in framework. The sink's hop counts
+    become `t.sink_hops`: every alive node that can reach it.
     """
-    targets = ({NodeRole.SENSOR: (t.sink,)} if mode == "baseline" else
-               {NodeRole.SINK: (t.sink,), NodeRole.SUB_SINK: (t.sink,),
-                NodeRole.AGGREGATOR: (t.sub_sink,),  # None is never alive
-                NodeRole.SENSOR: t.aggregators})
-    fields: Dict[Tuple[int, ...], Tuple[Dict[int, int], Dict[int, int]]] = {
-        (t.sink,): hop_distances(t, (t.sink,))}
-    plans = {}  # role -> (dist, next_hop, the routes this role has built)
+    sink = hop_distances(t, (t.sink,))
+    fields = ({NodeRole.SENSOR: sink} if mode == "baseline" else
+              {NodeRole.SINK: sink, NodeRole.SUB_SINK: sink,
+               # a sub-sink of None is never alive, so its field is empty
+               NodeRole.AGGREGATOR: hop_distances(t, (t.sub_sink,)),
+               NodeRole.SENSOR: hop_distances(t, t.aggregators)})
+    built = {role: {} for role in fields}  # each role's routes so far
     routes: Dict[int, List[int]] = {}
     for node in t.nodes:
-        if node.id not in t.alive:
-            continue
-        plan = plans.get(node.role)
-        if plan is None:
-            sources = targets.get(node.role)
-            if sources is None:
-                continue
-            if sources not in fields:
-                fields[sources] = hop_distances(t, sources)
-            plan = plans[node.role] = (*fields[sources], {})
-        dist, next_hop, built = plan
-        if node.id in dist:
-            routes[node.id] = built[node.id] = _walk(next_hop, node.id, built)
+        bfs = fields.get(node.role)
+        if bfs is not None and node.id in bfs[0]:
+            routes[node.id] = built[node.role][node.id] = _walk(
+                bfs[1], node.id, built[node.role])
     t.routes = routes
-    t.sink_hops = fields[(t.sink,)][0]
+    t.sink_hops = sink[0]
 
 
 def sink_reachable(t: Topology) -> bool:

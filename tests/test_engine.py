@@ -1,10 +1,15 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -631,6 +636,36 @@ DRAINING_DIGESTS = {
 def test_draining_report_digest(mode):
     text = serialize(engine.run(draining(mode)).report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == DRAINING_DIGESTS[mode]
+
+
+# Runs in a fresh interpreter: the digests of `reference` and `draining`
+# in both modes, as JSON keyed by "<scenario> <mode>".
+_DIGESTS_CHILD = """
+import hashlib, json
+from iirsim import engine
+from iirsim.metrics import serialize
+from test_engine import draining, reference
+print(json.dumps({
+    f"{scenario.__name__} {mode}": hashlib.sha256(serialize(
+        engine.run(scenario(mode)).report, "json").encode()).hexdigest()
+    for scenario in (reference, draining)
+    for mode in ("baseline", "framework")}))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "987654"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    # str hashes, and with them the order of a set of strings or of
+    # `NodeRole`s (a str enum), follow PYTHONHASHSEED; a report must not
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        (str(tests.parent / "src"), str(tests))))
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        **{f"reference {m}": d for m, d in REFERENCE_DIGESTS.items()},
+        **{f"draining {m}": d for m, d in DRAINING_DIGESTS.items()}}
 
 
 def opened(**kw):

@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -520,13 +520,35 @@ class TestRouteRecomputeCost:
 
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     def test_one_bfs_per_target(self, bfs_calls, mode):
+        # each field of the mode runs exactly once: at build, and again
+        # after the sub-sink and an aggregator die
         t = build_topology(ScenarioConfig(mode=mode))
+        fields = Counter([(t.sink,)] if mode == "baseline" else
+                         [(t.sink,), (t.sub_sink,), t.aggregators])
+        assert Counter(map(tuple, bfs_calls)) == fields
+        t.alive -= {t.sub_sink, t.aggregators[0]}
         bfs_calls.clear()
         recompute_routes(t, mode)
-        if mode == "baseline":
-            assert len(bfs_calls) == 1
-        else:
-            assert len(bfs_calls) <= 3
+        assert Counter(map(tuple, bfs_calls)) == fields
+
+    @pytest.mark.parametrize("mode", ["baseline", "framework"])
+    def test_routes_are_never_changed_in_place(self, mode):
+        # `EnergyLedger.carry_leg` keeps a plan while the route lists it
+        # was given are the same objects, so a route list, once handed out,
+        # must keep its hops
+        t = build_topology(ScenarioConfig(node_count=64, aggregator_every=7,
+                                          mode=mode))
+        rng = random.Random(64)
+        before = {n: route[:] for n, route in t.routes.items()}
+        saved = [(route, route[:]) for route in t.routes.values()]
+        for _ in range(2):
+            t.alive -= set(rng.sample(sorted(t.alive - {t.sink}), 4))
+            recompute_routes(t, mode)
+            saved += [(route, route[:]) for route in t.routes.values()]
+        # the deaths moved the routes of some nodes that still have one
+        assert any(t.routes[n] != route for n, route in before.items()
+                   if n in t.routes)
+        assert all(route == copy for route, copy in saved)
 
     def test_framework_hashes_the_aggregators_a_fixed_number_of_times(self):
         hashes = []
