@@ -5,11 +5,13 @@ flow by flow. When every flow is one packet of one size and no battery on
 the leg can run out, the leg is billed per node in one
 `EnergyLedger.carry_leg` pass; otherwise each packet is billed along its
 route by `EnergyLedger.carry`, in flow order. Both give the same bits, the
-same balances and the same report, to the last bit.
+same balances and the same report, to the last bit, and both return the
+joules billed per hop, which are all the report and the hop events read of
+what a hop cost.
 """
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .config import ScenarioConfig
 from .core import Packet, SensorReading, packet_bits
@@ -25,22 +27,31 @@ class TransmissionEvent(NamedTuple):
     packet: Packet
     hop: Tuple[int, int]
     distance: float
-    tx_energy: float  # joules actually billed (0 at infinite-energy nodes)
-    rx_energy: float
+    energy: float  # joules billed at both ends (0 at infinite-energy nodes)
 
 
 class Hops(Sequence):
-    """One call's hops as TransmissionEvents in hop order; the events are
-    built when first read."""
+    """One call's hops as TransmissionEvents in hop order. They are built
+    when first read, from `sent`, (route, packet bits, hops made) per
+    packet, and `energies`, each hop's billed joules."""
 
-    def __init__(self, count: int,
-                 build: Callable[[], List[TransmissionEvent]]):
-        self._count, self._build = count, build
-        self._events = None
+    def __init__(self, round_no: int, topology: Topology, sent,
+                 energies: List[float]):
+        self._args = (round_no, topology, sent, energies)
+        self._count, self._events = len(energies), None
 
     def _built(self) -> List[TransmissionEvent]:
         if self._events is None:
-            self._events, self._build = self._build(), None
+            round_no, topology, sent, energies = self._args
+            energy = iter(energies)
+            events = []
+            for route, bits, made in sent:
+                pkt = Packet(route[0], route[-1], bits)
+                events.extend(
+                    TransmissionEvent(round_no, pkt, (a, b), d, e)
+                    for (a, b, d), e in zip(topology.legs(route)[:made],
+                                            energy))
+            self._events, self._args = events, None
         return self._events
 
     def __len__(self) -> int:
@@ -65,70 +76,49 @@ def send_along(flows: Sequence[Flow], topology: Topology, radio: RadioParams,
     cancels the remaining hops for that packet; the loss is an outcome, not
     an error.
     """
+    energies = None
     # A single flow has no charges to merge, so it is carried per packet.
     if len(flows) > 1:
         size = len(flows[0][1])
         if 0 < size <= batch_cap and all(len(rs) == size for _, rs in flows):
             routes = [route for route, _ in flows]
             bits = packet_bits(size)
-            plan = ledger.carry_leg(routes, topology.nodes, bits, radio)
-            if plan is not None:
-                return _billed_per_node(flows, routes, bits, plan, topology,
-                                        report, round_no)
-    return _carry_each_packet(flows, topology, radio, ledger, report,
-                              batch_cap, round_no)
+            energies = ledger.carry_leg(routes, topology.nodes, bits, radio)
+    if energies is not None:
+        sent = ((route, bits, len(route) - 1) for route in routes)
+        delivered = [r for _, rs in flows for r in rs]
+        lost, total_bits = 0, bits * len(energies)
+    else:
+        sent, energies, delivered, lost, total_bits = _carry_each_packet(
+            flows, topology, radio, ledger, batch_cap, round_no)
+    report.total_bits_transmitted += total_bits
+    report.add_energy(energies)
+    return Hops(round_no, topology, sent, energies), delivered, lost
 
 
-def _billed_per_node(flows, routes, bits, plan, topology, report, round_no):
-    """The report, hops and deliveries of a leg `carry_leg` billed."""
-    tx_billed, rx_billed = plan.tx_billed, plan.rx_billed
-    n_hops = len(plan.hop_energy)
-    report.total_bits_transmitted += bits * n_hops
-    report.add_energy(plan.hop_energy)
-
-    def build():
-        events = []
-        for route in routes:
-            pkt = Packet(route[0], route[-1], bits)
-            events.extend(TransmissionEvent(round_no, pkt, (a, b), d,
-                                            tx_billed[a], rx_billed[a])
-                          for a, b, d in topology.legs(route))
-        return events
-    return Hops(n_hops, build), [r for _, rs in flows for r in rs], 0
-
-
-def _carry_each_packet(flows, topology, radio, ledger, report, batch_cap,
-                       round_no):
+def _carry_each_packet(flows, topology, radio, ledger, batch_cap, round_no):
     """The leg packet by packet, each billed along its route by `carry`."""
-    packets = []  # (packet, legs, billed) per packet sent
+    sent = []  # (route, packet bits, hops made) per packet sent
     delivered: List[SensorReading] = []
-    lost = bits = 0
-    energies: List[float] = []  # each hop's tx + rx billed, in hop order
+    lost = total_bits = 0
+    energies: List[float] = []  # each hop's billed joules, in hop order
     for route, readings in flows:
         legs = topology.legs(route)
         if not legs:
             delivered.extend(readings)
             continue
-        last = route[-1]
         for i in range(0, len(readings), batch_cap):
             chunk = readings[i:i + batch_cap]
-            pkt = Packet(route[0], last, packet_bits(len(chunk)))
-            billed, arrived, killed = ledger.carry(legs, pkt.bits, radio,
+            bits = packet_bits(len(chunk))
+            billed, arrived, killed = ledger.carry(legs, bits, radio,
                                                    round_no)
-            packets.append((pkt, legs, billed))
-            bits += pkt.bits * len(billed)
-            energies.extend([tx + rx for tx, rx in billed])
+            sent.append((route, bits, len(billed)))
+            total_bits += bits * len(billed)
+            energies.extend(billed)
             if killed:
                 topology.alive.difference_update(killed)
             if arrived:
                 delivered.extend(chunk)
             else:
                 lost += len(chunk)
-    report.total_bits_transmitted += bits
-    report.add_energy(energies)
-
-    def build():
-        return [TransmissionEvent(round_no, pkt, (a, b), d, tx, rx)
-                for pkt, legs, billed in packets
-                for (a, b, d), (tx, rx) in zip(legs, billed)]
-    return Hops(len(energies), build), delivered, lost
+    return sent, energies, delivered, lost, total_bits

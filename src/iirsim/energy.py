@@ -9,7 +9,7 @@ instead of per hop, when no battery on it can run out: each node's charges
 then follow a fixed pattern, and replaying that pattern through the same
 Kahan steps gives the same floats, in the same order, as `carry` would for
 each packet in turn. The pattern depends only on the routes, so it is
-planned once per route version (a `LegPlan`: the finite senders grouped
+planned once per route version (a `_LegPlan`: the finite senders grouped
 into classes by pattern, each class with the closed-form leg total of any
 one member, each route end's total, and every hop's billed joules);
 whether every battery can pay, and the billing itself, are worked out on
@@ -17,6 +17,9 @@ every call. A class's chain is replayed once per call and its end state
 given to every member that starts the call with the same balance; that
 comparison also runs on every call. When some battery could run out it
 bills nothing, and the caller carries the leg packet by packet.
+
+Both return the one record kept of what the packets cost: the joules billed
+per hop, its sender's charge plus its receiver's, in hop order.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ def rx_cost(p: RadioParams, bits: int) -> float:
     return bits * p.e_elec
 
 
-class LegPlan(NamedTuple):
+class _LegPlan(NamedTuple):
     """What `carry_leg` bills for one route version, every call the same."""
     rx: float  # each packet's receive charge
     # A sender's charges are its pattern (tx, pairs before its own packet,
@@ -66,17 +69,13 @@ class LegPlan(NamedTuple):
     classes: List[Tuple[float, int, int, float, List[int]]]
     # (finite last node, packets received, leg total)
     ends: List[Tuple[int, int, float]]
-    # joules billed per hop at its sender's and its receiver's end, indexed
-    # by sender (0 at infinite-energy nodes)
-    tx_billed: List[float]
-    rx_billed: List[float]
     hop_energy: List[float]  # each hop's tx + rx billed, in hop order
 
 
 def _chain(c: float, m: float, rx: float, tx: float, k: int,
            after: int) -> Tuple[float, float]:
     """The (consumed, comp) that `debit`'s Kahan steps leave after a
-    sender's pattern of charges (see `LegPlan.classes`), from (c, m)."""
+    sender's pattern of charges (see `_LegPlan.classes`), from (c, m)."""
     # The steps stay inline rather than `core.kahan_add` over a sequence of
     # the charges: this loop is about 20 % of a `baseline-1600` profile.
     for _ in repeat(None, k):
@@ -171,15 +170,16 @@ class EnergyLedger:
         `ScenarioConfig.validate` ensures) and `bits` positive, so every
         charge is positive.
 
-        Returns (billed, arrived, killed): the joules (tx, rx) billed per hop
-        made, in hop order; whether the packet reached the last receiver; and
-        the nodes whose battery ran out on the way, in the order they died.
+        Returns (billed, arrived, killed): the joules billed per hop made,
+        its sender's charge plus its receiver's, in hop order; whether the
+        packet reached the last receiver; and the nodes whose battery ran out
+        on the way, in the order they died.
         """
         initial, consumed, comp = self._initial, self._consumed, self._comp
         rx = bits * radio.e_elec
         amp = bits * radio.e_amp
         last = legs[-1][1]
-        billed: List[Tuple[float, float]] = []
+        billed: List[float] = []
         killed: List[int] = []
         inf = math.inf
         # The two charges below are debit()'s steps with the checks that a
@@ -219,7 +219,7 @@ class EnergyLedger:
                     comp[b] = (t - c) - y
                     consumed[b] = t
                     rx_billed = rx
-            billed.append((tx_billed, rx_billed))
+            billed.append(tx_billed + rx_billed)
             # A node whose battery this hop emptied, by overdraw or by
             # rounding, finishes the hop, then drops out; the packet's
             # remaining hops are cancelled.
@@ -237,7 +237,7 @@ class EnergyLedger:
         return billed, True, killed
 
     def carry_leg(self, routes: Sequence[Sequence[int]], nodes: Sequence,
-                  bits: int, radio: RadioParams) -> Optional[LegPlan]:
+                  bits: int, radio: RadioParams) -> Optional[List[float]]:
         """Carry one packet of `bits` along each route, in route order,
         billing per node instead of per hop; `nodes[i].pos` is node i's
         position.
@@ -249,16 +249,16 @@ class EnergyLedger:
         with its balance below its battery by more than the relative
         `GUARD_BAND`. Otherwise nothing is billed and the result is None.
 
-        The routes decide everything but the balances, so their `LegPlan`
-        is built once and kept until a call for the same leg (the same
+        The routes decide everything but the balances, so their plan is
+        built once and kept until a call for the same leg (the same
         `role` of the first origin: legs 1 and 2 of a framework round keep
         a plan each) passes other route list objects, `nodes`, `bits` or
         `radio`; routes are never changed in place. The battery check, which
         tests each class's leg total against every member's balance and each
         end's total against its own, and the billing run on every call.
 
-        Returns the plan, whose `tx_billed`, `rx_billed` and `hop_energy`
-        give the joules billed per hop.
+        Returns the joules billed per hop, as `carry` gives them, in route
+        order; the list is the plan's and the same on every call.
         """
         leg = nodes[routes[0][0]].role
         last = self._legs.get(leg)
@@ -300,9 +300,9 @@ class EnergyLedger:
         for e, k, _ in plan.ends:
             consumed[e], comp[e] = kahan_add(consumed[e], comp[e],
                                              repeat(rx, k))
-        return plan
+        return plan.hop_energy
 
-    def _plan_leg(self, routes, nodes, bits, radio) -> Optional[LegPlan]:
+    def _plan_leg(self, routes, nodes, bits, radio) -> Optional[_LegPlan]:
         """`carry_leg`'s plan for `routes`, from one walk over their hops;
         None when their shape cannot be billed per node."""
         n = len(nodes)
@@ -312,7 +312,7 @@ class EnergyLedger:
         recv = [-1] * n    # each sender's one receiver
         got = [0] * n      # packets received
         before = [-1] * n  # packets relayed before its own, or -1 if none own
-        tx_billed, rx_billed = [0.0] * n, [0.0] * n
+        txs = [0.0] * n    # each sender's tx charge, 0 if never billed
         hop = [0.0] * n    # each sender's hop energy
         hop_energy: List[float] = []
         add_hop = hop_energy.append
@@ -338,10 +338,8 @@ class EnergyLedger:
                         ax, ay = nodes[a].pos
                         bx, by = nodes[b].pos
                         d = math.hypot(ax - bx, ay - by)
-                        tx_billed[a] = rx + amp * d * d
-                    if initial[b] != inf:
-                        rx_billed[a] = rx
-                    hop[a] = tx_billed[a] + rx_billed[a]
+                        txs[a] = rx + amp * d * d
+                    hop[a] = txs[a] + (rx if initial[b] != inf else 0.0)
                 add_hop(hop[a])
                 got[b] += 1
                 a = b
@@ -353,7 +351,7 @@ class EnergyLedger:
         patterns: Dict[Tuple[float, int, int], List[int]] = {}
         for a in senders:
             if initial[a] != inf:
-                tx, relayed, k = tx_billed[a], got[a], before[a]
+                tx, relayed, k = txs[a], got[a], before[a]
                 pattern = (tx, k, relayed - k) if k >= 0 else (tx, relayed, -1)
                 patterns.setdefault(pattern, []).append(a)
         classes = []
@@ -369,6 +367,5 @@ class EnergyLedger:
                 return None
             if initial[e] != inf:
                 finite_ends.append((e, got[e], got[e] * rx))
-        return LegPlan(rx, classes, finite_ends, tx_billed, rx_billed,
-                       hop_energy)
+        return _LegPlan(rx, classes, finite_ends, hop_energy)
 

@@ -75,13 +75,17 @@ class TestSendAlong:
         events, _, _ = send_along([([0, 1, 2], readings(2))], t, RADIO,
                                   ledger, MetricsReport())
         for e in events:
-            assert e.tx_energy == pytest.approx(
-                tx_cost(RADIO, e.packet.bits, e.distance), rel=1e-12)
-            if e.hop[1] != t.sink:
-                assert e.rx_energy == pytest.approx(
-                    rx_cost(RADIO, e.packet.bits), rel=1e-12)
-            else:
-                assert e.rx_energy == 0.0  # sink is never billed
+            tx = tx_cost(RADIO, e.packet.bits, e.distance)
+            # the sink is never billed
+            rx = rx_cost(RADIO, e.packet.bits) if e.hop[1] != t.sink else 0.0
+            assert e.energy == pytest.approx(tx + rx, rel=1e-12)
+        # each end's share: 0 sends, 1 receives and sends, 2 is the sink
+        (e0, e1), bits = events, events[0].packet.bits
+        assert ledger._consumed[0] == pytest.approx(
+            tx_cost(RADIO, bits, e0.distance), rel=1e-12)
+        assert ledger._consumed[1] == pytest.approx(
+            rx_cost(RADIO, bits) + tx_cost(RADIO, bits, e1.distance),
+            rel=1e-12)
 
     def test_death_mid_route_loses_packet(self):
         # node 1 can afford receiving but dies on its transmit

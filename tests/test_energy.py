@@ -99,8 +99,8 @@ def carry_hop_by_hop(ledger, legs, bits, radio, round_no):
     for a, b, d in legs:
         if not (ledger.remaining(a) > 0 and ledger.remaining(b) > 0):
             return billed, False, killed
-        billed.append((ledger.debit(a, tx_cost(radio, bits, d), round_no),
-                       ledger.debit(b, rx_cost(radio, bits), round_no)))
+        billed.append(ledger.debit(a, tx_cost(radio, bits, d), round_no) +
+                      ledger.debit(b, rx_cost(radio, bits), round_no))
         died = [n for n in (a, b) if not ledger.remaining(n) > 0]
         killed.extend(died)
         if died and b != last:
@@ -140,7 +140,8 @@ class TestCarry:
         (billed, arrived, killed), ledger = carry_both(
             {0: 1.0, 1: 1.0, 2: math.inf}, chain([0, 1, 2]), self.BITS)
         assert arrived and killed == [] and len(billed) == 2
-        assert billed[1][1] == 0.0
+        assert billed[1] == self.TX
+        assert ledger._consumed[2] == 0.0
         assert ledger.finite_nodes() == [0, 1]
 
     @pytest.mark.parametrize("empty", [0.0, math.nan], ids=["zero", "nan"])
@@ -163,26 +164,34 @@ class TestCarry:
         (billed, arrived, killed), ledger = carry_both(
             {0: battery, 1: 1.0, 2: math.inf}, chain([0, 1, 2]), self.BITS)
         assert not arrived and killed == [0] and len(billed) == 1
-        assert billed[0] == (battery, self.RX)
+        assert billed[0] == battery + self.RX
+        assert ledger.remaining(0) == 0.0 and ledger._consumed[1] == self.RX
         assert ledger.death_rounds == {0: 5} and ledger.first_death_round == 5
 
     def test_sender_dies_on_last_hop_packet_arrives(self):
-        (billed, arrived, killed), _ = carry_both(
+        (billed, arrived, killed), ledger = carry_both(
             {0: 1.0, 1: self.TX, 2: math.inf}, chain([0, 1, 2]), self.BITS)
         assert arrived and killed == [1] and len(billed) == 2
+        # node 1 receives, then sends on what is left of its battery
+        assert billed == [self.TX + self.RX, self.TX - self.RX]
+        assert ledger._consumed[0] == self.TX and ledger.remaining(1) == 0.0
 
     def test_intermediate_receiver_dies_packet_lost(self):
         (billed, arrived, killed), ledger = carry_both(
             {0: 1.0, 1: self.RX, 2: 1.0, 3: math.inf}, chain([0, 1, 2, 3]),
             self.BITS)
         assert not arrived and killed == [1] and len(billed) == 1
+        assert billed == [self.TX + self.RX]
+        assert ledger._consumed[0] == self.TX and ledger.remaining(1) == 0.0
         assert ledger.remaining(2) == 1.0
 
     def test_final_receiver_dies_packet_arrives(self):
         (billed, arrived, killed), ledger = carry_both(
             {0: 1.0, 1: 1.0, 2: self.RX / 3}, chain([0, 1, 2]), self.BITS)
         assert arrived and killed == [2] and len(billed) == 2
-        assert billed[1][1] == self.RX / 3
+        assert billed[1] == self.TX + self.RX / 3
+        assert ledger._consumed[1] == self.RX + self.TX
+        assert ledger.remaining(2) == 0.0
         assert ledger.death_rounds == {2: 5}
 
     def test_rounding_to_empty_kills_the_relay(self):
@@ -195,7 +204,8 @@ class TestCarry:
             {0: 1.0, 1: battery, 2: math.inf}, chain([0, 1, 2], metres=1.0),
             self.BITS)
         assert arrived and killed == [1]
-        assert billed[1][0] == tx  # the charge, not the balance
+        assert billed[1] == tx  # the charge, not the balance; 0 at the sink
+        assert ledger._consumed[1] == battery and ledger._consumed[2] == 0.0
         assert ledger.remaining(1) == 0.0
         assert ledger.death_rounds == {1: 5}
 

@@ -393,7 +393,7 @@ class TestHopTotals:
         for events, _, _ in results:
             for ev in events:
                 bits += ev.packet.bits
-                y = (ev.tx_energy + ev.rx_energy) - comp
+                y = ev.energy - comp
                 t = energy + y
                 comp = (t - energy) - y
                 energy = t
@@ -494,6 +494,43 @@ class TestHopTotals:
                 # one route version from set-up, one per recompute after
                 assert 1 <= calls["_plan_leg"] <= calls["recompute_routes"]
                 assert calls["recompute_routes"] > 1
+
+
+@pytest.mark.parametrize("mode", ["baseline", "framework"])
+def test_an_untraced_run_builds_no_hop_event(monkeypatch, mode):
+    # send_along's hops are built only when read, and a run reads none
+    built = 0
+    event = dissemination.TransmissionEvent
+
+    def counted_event(*args):
+        nonlocal built
+        built += 1
+        return event(*args)
+    legs = []  # [hops, carry_leg billed it (None if not offered)] per call
+    send_along, carry_leg = dissemination.send_along, EnergyLedger.carry_leg
+
+    def captured(*args, **kwargs):
+        legs.append([None, None])
+        result = send_along(*args, **kwargs)
+        legs[-1][0] = result[0]
+        return result
+
+    def counted_carry_leg(*args):
+        got = carry_leg(*args)
+        legs[-1][1] = got is not None
+        return got
+    monkeypatch.setattr(dissemination, "TransmissionEvent", counted_event)
+    monkeypatch.setattr(dissemination, "send_along", captured)
+    monkeypatch.setattr(EnergyLedger, "carry_leg", counted_carry_leg)
+    for make in (reference, draining):
+        engine.run(make(mode))
+    assert built == 0
+    # a leg billed per node and a declined one count the hops read from them
+    per_node = next(h for h, billed in legs if billed and len(h))
+    declined = next(h for h, billed in legs if billed is False and len(h))
+    for hops in (per_node, declined):
+        assert len(list(hops)) == len(hops)
+    assert built == len(per_node) + len(declined)
 
 
 def test_each_leg_keeps_its_plan(monkeypatch):
