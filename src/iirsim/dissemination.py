@@ -5,15 +5,14 @@ flow by flow. When every flow is one packet of one size and no battery on
 the leg can run out, the leg is billed per node in one
 `EnergyLedger.carry_leg` pass; otherwise each packet is billed along its
 route by `EnergyLedger.carry`, in flow order. Both give the same bits, the
-same balances and the same report, to the last bit, and both return the
-joules billed per hop, which are all the report and the hop events read of
-what a hop cost.
+same balances and the same report, to the last bit. The joules billed per
+hop go to the report and nowhere else; the returned hops say only which
+packet made each hop.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .config import ScenarioConfig
 from .core import Packet, SensorReading, packet_bits
 from .energy import EnergyLedger, RadioParams
 from .metrics import MetricsReport
@@ -23,35 +22,25 @@ Flow = Tuple[Sequence[int], Sequence[SensorReading]]  # (route, readings)
 
 
 class TransmissionEvent(NamedTuple):
-    round: int
     packet: Packet
-    hop: Tuple[int, int]
-    distance: float
-    energy: float  # joules billed at both ends (0 at infinite-energy nodes)
 
 
 class Hops(Sequence):
-    """One call's hops as TransmissionEvents in hop order. They are built
-    when first read, from `sent`, (route, packet bits, hops made) per
-    packet, and `energies`, each hop's billed joules."""
+    """One call's `count` hops in hop order, each the TransmissionEvent of
+    the packet that made it. They are built when first read from `sent`,
+    (route, packet bits, hops made) per packet: one event per packet,
+    repeated once per hop it made."""
 
-    def __init__(self, round_no: int, topology: Topology, sent,
-                 energies: List[float]):
-        self._args = (round_no, topology, sent, energies)
-        self._count, self._events = len(energies), None
+    def __init__(self, sent, count: int):
+        self._sent, self._count, self._events = sent, count, None
 
     def _built(self) -> List[TransmissionEvent]:
         if self._events is None:
-            round_no, topology, sent, energies = self._args
-            energy = iter(energies)
             events = []
-            for route, bits, made in sent:
-                pkt = Packet(route[0], route[-1], bits)
-                events.extend(
-                    TransmissionEvent(round_no, pkt, (a, b), d, e)
-                    for (a, b, d), e in zip(topology.legs(route)[:made],
-                                            energy))
-            self._events, self._args = events, None
+            for route, bits, made in self._sent:
+                event = TransmissionEvent(Packet(route[0], route[-1], bits))
+                events += [event] * made
+            self._events, self._sent = events, None
         return self._events
 
     def __len__(self) -> int:
@@ -66,7 +55,7 @@ class Hops(Sequence):
 
 def send_along(flows: Sequence[Flow], topology: Topology, radio: RadioParams,
                ledger: EnergyLedger, report: MetricsReport,
-               batch_cap: int = ScenarioConfig.batch_cap, round_no: int = 0):
+               batch_cap: int, round_no: int):
     """Move each flow's readings along its route in packets of at most
     batch_cap, flow by flow, adding every hop's bits and billed energy to
     `report`.
@@ -93,7 +82,7 @@ def send_along(flows: Sequence[Flow], topology: Topology, radio: RadioParams,
             flows, topology, radio, ledger, batch_cap, round_no)
     report.total_bits_transmitted += total_bits
     report.add_energy(energies)
-    return Hops(round_no, topology, sent, energies), delivered, lost
+    return Hops(sent, len(energies)), delivered, lost
 
 
 def _carry_each_packet(flows, topology, radio, ledger, batch_cap, round_no):

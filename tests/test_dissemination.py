@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -15,10 +16,10 @@ RADIO = RadioParams()
 
 def line_topology(n, spacing=10.0, energy=1.0, sink=None):
     sink = n - 1 if sink is None else sink
-    adjacency = {i: set() for i in range(n)}
+    adjacency = {i: [] for i in range(n)}
     for i in range(n - 1):
-        adjacency[i].add(i + 1)
-        adjacency[i + 1].add(i)
+        adjacency[i].append(i + 1)
+        adjacency[i + 1].append(i)
     nodes = [Node(i, NodeRole.SINK if i == sink else NodeRole.SENSOR,
                   (i * spacing, 0.0)) for i in range(n)]
     t = Topology(nodes=nodes, comm_radius=spacing, adjacency=adjacency,
@@ -33,12 +34,28 @@ def readings(n, rnd=0):
             for i in range(n)]
 
 
+@contextlib.contextmanager
+def billed_joules():
+    """Yield a list that gets, for every `MetricsReport.add_energy` call
+    (one per `send_along` call), the joules billed per hop, in hop order."""
+    joules = []
+    add_energy = MetricsReport.add_energy
+
+    def captured(report, hop_energies):
+        joules.append(list(hop_energies))
+        add_energy(report, joules[-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MetricsReport, "add_energy", captured)
+        yield joules
+
+
 class TestSendAlong:
     def test_empty_readings_no_events(self):
         t, ledger = line_topology(2)
         report = MetricsReport()
         events, delivered, lost = send_along([([0, 1], [])], t, RADIO,
-                                             ledger, report)
+                                             ledger, report, batch_cap=16,
+                                             round_no=0)
         assert list(events) == [] and delivered == [] and lost == 0
         assert report == MetricsReport()
 
@@ -46,7 +63,7 @@ class TestSendAlong:
         t, ledger = line_topology(2)
         events, delivered, lost = send_along([([0, 1], readings(1))], t,
                                              RADIO, ledger, MetricsReport(),
-                                             batch_cap=10)
+                                             batch_cap=10, round_no=0)
         assert len(events) == 1
         assert events[0].packet.bits == 128
         assert len(delivered) == 1 and lost == 0
@@ -57,7 +74,7 @@ class TestSendAlong:
         route = [0, 1, 2, 3]
         events, delivered, lost = send_along([(route, readings(25))], t,
                                              RADIO, ledger, MetricsReport(),
-                                             batch_cap=10)
+                                             batch_cap=10, round_no=0)
         n_packets = -(-25 // 10)
         assert len(events) == n_packets * (len(route) - 1) == 9
         assert len(delivered) == 25 and lost == 0
@@ -67,32 +84,40 @@ class TestSendAlong:
     def test_self_route_delivers_without_events(self):
         t, ledger = line_topology(2)
         events, delivered, lost = send_along([([0], readings(3))], t, RADIO,
-                                             ledger, MetricsReport())
+                                             ledger, MetricsReport(),
+                                             batch_cap=16, round_no=0)
         assert list(events) == [] and len(delivered) == 3 and lost == 0
 
     def test_energy_billed_matches_radio_model(self):
         t, ledger = line_topology(3, spacing=8.0)
-        events, _, _ = send_along([([0, 1, 2], readings(2))], t, RADIO,
-                                  ledger, MetricsReport())
-        for e in events:
-            tx = tx_cost(RADIO, e.packet.bits, e.distance)
+        route = [0, 1, 2]
+        with billed_joules() as joules:
+            events, _, _ = send_along([(route, readings(2))], t, RADIO,
+                                      ledger, MetricsReport(), batch_cap=16,
+                                      round_no=0)
+        bits = packet_bits(2)
+        assert [e.packet.bits for e in events] == [bits, bits]
+        (billed,), legs = joules, t.legs(route)
+        assert len(billed) == len(legs) == 2
+        for (_, b, d), e in zip(legs, billed):
+            tx = tx_cost(RADIO, bits, d)
             # the sink is never billed
-            rx = rx_cost(RADIO, e.packet.bits) if e.hop[1] != t.sink else 0.0
-            assert e.energy == pytest.approx(tx + rx, rel=1e-12)
+            rx = rx_cost(RADIO, bits) if b != t.sink else 0.0
+            assert e == pytest.approx(tx + rx, rel=1e-12)
         # each end's share: 0 sends, 1 receives and sends, 2 is the sink
-        (e0, e1), bits = events, events[0].packet.bits
+        (_, _, d0), (_, _, d1) = legs
         assert ledger._consumed[0] == pytest.approx(
-            tx_cost(RADIO, bits, e0.distance), rel=1e-12)
+            tx_cost(RADIO, bits, d0), rel=1e-12)
         assert ledger._consumed[1] == pytest.approx(
-            rx_cost(RADIO, bits) + tx_cost(RADIO, bits, e1.distance),
-            rel=1e-12)
+            rx_cost(RADIO, bits) + tx_cost(RADIO, bits, d1), rel=1e-12)
 
     def test_death_mid_route_loses_packet(self):
         # node 1 can afford receiving but dies on its transmit
         t, ledger = line_topology(4, energy=1.0)
         ledger._initial[1] = rx_cost(RADIO, 128) + 1e-9
         events, delivered, lost = send_along([([0, 1, 2, 3], readings(1))],
-                                             t, RADIO, ledger, MetricsReport())
+                                             t, RADIO, ledger, MetricsReport(),
+                                             batch_cap=16, round_no=0)
         assert delivered == [] and lost == 1
         assert len(events) == 2  # hop 0->1 completes, 1->2 kills the sender
         assert 1 not in t.alive
@@ -104,14 +129,14 @@ class TestSendAlong:
         ledger._initial[1] = 0.0
         events, delivered, lost = send_along([([0, 1, 2], readings(4))], t,
                                              RADIO, ledger, MetricsReport(),
-                                             batch_cap=2)
+                                             batch_cap=2, round_no=0)
         assert list(events) == [] and delivered == [] and lost == 4
 
     def test_bits_billed_equal_bits_carried(self):
         t, ledger = line_topology(5)
         route = [0, 1, 2, 3, 4]
         events, _, _ = send_along([(route, readings(33))], t, RADIO, ledger,
-                                  MetricsReport(), batch_cap=8)
+                                  MetricsReport(), batch_cap=8, round_no=0)
         per_packet = {}
         for e in events:
             per_packet.setdefault(id(e.packet), [e.packet.bits, 0])[1] += 1
@@ -129,7 +154,7 @@ def tree_topology(energy):
     nodes = [Node(i, roles.get(i, NodeRole.SENSOR), p)
              for i, p in enumerate(pos)]
     t = Topology(nodes=nodes, comm_radius=20.0,
-                 adjacency={i: set() for i in range(len(pos))},
+                 adjacency={i: [] for i in range(len(pos))},
                  alive=set(range(len(pos))), sink=0, sub_sink=1,
                  aggregators=(2,))
     ledger = EnergyLedger({i: (math.inf if i == 0 else energy * (1 + i / 7))
@@ -156,7 +181,7 @@ def lattice_leg(energy):
     nodes = [Node(i, NodeRole.SINK if i == 0 else NodeRole.SENSOR, p)
              for i, p in enumerate(pos)]
     t = Topology(nodes=nodes, comm_radius=9.0,
-                 adjacency={i: set() for i in range(len(pos))},
+                 adjacency={i: [] for i in range(len(pos))},
                  alive=set(range(len(pos))), sink=0, sub_sink=None,
                  aggregators=())
     ledger = EnergyLedger({i: (math.inf if i == 0 else energy)
@@ -186,11 +211,11 @@ def send_legs(t, ledger, steps, decline=False, radio=RADIO):
     from each route's origin, `rounds` times, as one leg a round, on one
     ledger; with `decline`, carry_leg bills nothing, so every packet goes
     through carry. Returns the ledger, the report, each round's
-    (hops, delivered, lost), the arguments of every carry call and the
-    number of leg plans built."""
+    (hops, delivered, lost, joules billed per hop), the arguments of every
+    carry call and the number of leg plans built."""
     report = MetricsReport()
     carried, plans = [], []
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, billed_joules() as joules:
         if decline:
             mp.setattr(EnergyLedger, "carry_leg", lambda *args: None)
         carry, plan_leg = EnergyLedger.carry, EnergyLedger._plan_leg
@@ -212,8 +237,9 @@ def send_legs(t, ledger, steps, decline=False, radio=RADIO):
                               for i in range(size)])
                          for r in routes]
                 hops, delivered, lost = send_along(flows, t, radio, ledger,
-                                                   report, round_no=rnd)
-                sent.append((list(hops), delivered, lost))
+                                                   report, batch_cap=16,
+                                                   round_no=rnd)
+                sent.append((list(hops), delivered, lost, joules[-1]))
                 rnd += 1
     return ledger, report, sent, carried, len(plans)
 
@@ -276,7 +302,7 @@ def check_random_legs(rng, spot, legs=150):
 
         def make(_, routes=routes, initial=initial, nodes=nodes):
             t = Topology(nodes=nodes, comm_radius=40.0,
-                         adjacency={i: set() for i in range(len(nodes))},
+                         adjacency={i: [] for i in range(len(nodes))},
                          alive=set(range(len(nodes))), sink=0,
                          sub_sink=None, aggregators=())
             return t, EnergyLedger(dict(enumerate(initial))), routes
@@ -320,7 +346,7 @@ class TestPerNodeBilling:
         assert plans == 1
         declined = share < 1.0 + GUARD_BAND
         assert {args[-1] for args in carried} == ({2} if declined else set())
-        assert [lost for _, _, lost in sent] == [0, 0, int(share == 1.0)]
+        assert [lost for _, _, lost, _ in sent] == [0, 0, int(share == 1.0)]
         assert ledger.death_rounds == ({1: 2} if share == 1.0 else {})
 
     def test_plan_reused_until_routes_or_size_change(self):
@@ -336,8 +362,8 @@ class TestPerNodeBilling:
         assert_same_outcome(got, want)
         _, report, sent, carried, plans = got
         assert carried == [] and plans == 3
-        assert [len(hops) for hops, _, _ in sent] == [13] * 3 + [12] * 4
-        bits = [hops[0].packet.bits for hops, _, _ in sent]
+        assert [len(hops) for hops, *_ in sent] == [13] * 3 + [12] * 4
+        bits = [hops[0].packet.bits for hops, *_ in sent]
         assert bits == [packet_bits(1)] * 5 + [packet_bits(2)] * 2
         assert report.total_bits_transmitted == (
             13 * 3 * packet_bits(1) + 12 * 2 * packet_bits(1) +

@@ -22,6 +22,7 @@ from iirsim.errors import InvalidScenario, SimError
 from iirsim.metrics import serialize
 from iirsim.topology import build_topology
 from random_scenarios import OPEN_THRESHOLDS, random_scenario
+from test_dissemination import billed_joules
 
 
 def line_fixture(**kw):
@@ -380,20 +381,25 @@ class TestHopTotals:
     @pytest.mark.parametrize("mode", ["baseline", "framework"])
     @pytest.mark.parametrize("make", [reference, draining])
     def test_totals_equal_replayed_events(self, monkeypatch, make, mode):
-        results = []
+        results = []  # per send_along call, in call order
         send_along = dissemination.send_along
 
         def captured(*args, **kwargs):
             results.append(send_along(*args, **kwargs))
             return results[-1]
         monkeypatch.setattr(dissemination, "send_along", captured)
-        r = engine.run(make(mode)).report
-        # Kahan fold of every hop, in the order the hops were made
-        bits, energy, comp = 0, 0.0, 0.0
-        for events, _, _ in results:
-            for ev in events:
-                bits += ev.packet.bits
-                y = ev.energy - comp
+        with billed_joules() as joules:
+            r = engine.run(make(mode)).report
+        # every hop's bits, and a Kahan fold of every hop's billed joules,
+        # in the order the hops were made
+        assert [len(events) for events, _, _ in results] == [
+            len(billed) for billed in joules]
+        bits = sum(ev.packet.bits for events, _, _ in results
+                   for ev in events)
+        energy, comp = 0.0, 0.0
+        for billed in joules:
+            for e in billed:
+                y = e - comp
                 t = energy + y
                 comp = (t - energy) - y
                 energy = t
@@ -498,26 +504,34 @@ class TestHopTotals:
 
 @pytest.mark.parametrize("mode", ["baseline", "framework"])
 def test_an_untraced_run_builds_no_hop_event(monkeypatch, mode):
-    # send_along's hops are built only when read, and a run reads none
-    built = 0
-    event = dissemination.TransmissionEvent
+    # send_along's hops are built only when read, and a run reads none;
+    # reading them builds at most one event per packet, from what was sent
+    built = walked = 0
+    event, legs_of = dissemination.TransmissionEvent, topology.Topology.legs
 
     def counted_event(*args):
         nonlocal built
         built += 1
         return event(*args)
-    legs = []  # [hops, carry_leg billed it (None if not offered)] per call
+
+    def counted_legs(*args):
+        nonlocal walked
+        walked += 1
+        return legs_of(*args)
+    legs = []  # per call: [hops, packets, carry_leg billed it (or None)]
     send_along, carry_leg = dissemination.send_along, EnergyLedger.carry_leg
 
-    def captured(*args, **kwargs):
-        legs.append([None, None])
-        result = send_along(*args, **kwargs)
+    def captured(flows, *args, batch_cap, **kwargs):
+        packets = sum(math.ceil(len(rs) / batch_cap)
+                      for route, rs in flows if len(route) > 1)
+        legs.append([None, packets, None])
+        result = send_along(flows, *args, batch_cap=batch_cap, **kwargs)
         legs[-1][0] = result[0]
         return result
 
     def counted_carry_leg(*args):
         got = carry_leg(*args)
-        legs[-1][1] = got is not None
+        legs[-1][2] = got is not None
         return got
     monkeypatch.setattr(dissemination, "TransmissionEvent", counted_event)
     monkeypatch.setattr(dissemination, "send_along", captured)
@@ -525,12 +539,16 @@ def test_an_untraced_run_builds_no_hop_event(monkeypatch, mode):
     for make in (reference, draining):
         engine.run(make(mode))
     assert built == 0
-    # a leg billed per node and a declined one count the hops read from them
-    per_node = next(h for h, billed in legs if billed and len(h))
-    declined = next(h for h, billed in legs if billed is False and len(h))
-    for hops in (per_node, declined):
-        assert len(list(hops)) == len(hops)
-    assert built == len(per_node) + len(declined)
+    # reading a leg billed per node or a declined one gives every hop, from
+    # at most one event per packet and no walk of the routes
+    monkeypatch.setattr(topology.Topology, "legs", counted_legs)
+    per_node = next(leg for leg in legs if leg[2] and len(leg[0]))
+    declined = next(leg for leg in legs if leg[2] is False and len(leg[0]))
+    for hops, packets, _ in (per_node, declined):
+        built = 0
+        assert len(list(hops)) == len(hops) > packets
+        assert 0 < built <= packets
+    assert walked == 0
 
 
 def test_each_leg_keeps_its_plan(monkeypatch):

@@ -16,12 +16,13 @@ def one_hop_send(report, n_readings=1):
     with finite batteries, folding the hop into `report`."""
     nodes = [Node(0, NodeRole.SENSOR, (0.0, 0.0)),
              Node(1, NodeRole.SINK, (10.0, 0.0))]
-    t = Topology(nodes=nodes, comm_radius=10.0, adjacency={0: {1}, 1: {0}},
+    t = Topology(nodes=nodes, comm_radius=10.0, adjacency={0: [1], 1: [0]},
                  alive={0, 1}, sink=1, sub_sink=None, aggregators=())
     ledger = EnergyLedger({0: 1.0, 1: 1.0})
     return send_along([([0, 1], [SensorReading(source=0, round=0, value=1.0)
                                  for _ in range(n_readings)])],
-                      t, RadioParams(), ledger, report)
+                      t, RadioParams(), ledger, report, batch_cap=16,
+                      round_no=0)
 
 
 class TestRecord:

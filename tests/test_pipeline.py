@@ -26,7 +26,7 @@ def reading(source=0, rnd=0, value=25.0):
 
 
 def clique_topology(n):
-    adjacency = {i: {j for j in range(n) if j != i} for i in range(n)}
+    adjacency = {i: [j for j in range(n) if j != i] for i in range(n)}
     nodes = [Node(i, NodeRole.SENSOR, (float(i), 0.0)) for i in range(n)]
     return Topology(nodes=nodes, comm_radius=1e9, adjacency=adjacency,
                     alive=set(range(n)), sink=0, sub_sink=None, aggregators=())
@@ -138,12 +138,12 @@ class TestReview:
         for _ in range(400):
             n = rng.randint(2, 12)
             p = rng.choice((0.15, 0.3, 0.5))
-            adjacency = {i: set() for i in range(n)}
+            adjacency = {i: [] for i in range(n)}
             for i in range(n):
                 for j in range(i + 1, n):
                     if rng.random() < p:
-                        adjacency[i].add(j)
-                        adjacency[j].add(i)
+                        adjacency[i].append(j)
+                        adjacency[j].append(i)
             nodes = [Node(i, NodeRole.SENSOR, (float(i), 0.0))
                      for i in range(n)]
             alive = {i for i in range(n) if rng.random() < 0.8}

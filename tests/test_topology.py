@@ -25,10 +25,12 @@ def line_scenario(**kw):
 
 def graph_topology(n, edges, sink, roles=None, alive=None):
     """Hand-built topology for routing tests; positions are irrelevant."""
-    adjacency = {i: set() for i in range(n)}
+    adjacency = {i: [] for i in range(n)}
     for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    for links in adjacency.values():
+        links.sort()
     nodes = [Node(i, (roles or {}).get(i, NodeRole.SENSOR if i != sink
                                        else NodeRole.SINK), (float(i), 0.0))
              for i in range(n)]
